@@ -636,24 +636,35 @@ func BenchmarkReplicatedDoubleCheck(b *testing.B) {
 // comparable. Relay-hop batching shows up in the relayed-frames/op metric:
 // LAN-fast participant bursts queue at the hub behind the WAN sends and are
 // re-coalesced, so the batched hub forwards the same tagged traffic in
-// fewer delayed frames.
+// fewer delayed frames. The broker-muxed mode splits the same tasks over
+// four routes to four workers sharing ONE delayed supervisor link (the
+// OpenMux topology); sup-frames/task shows the mux writer packing the
+// routes' concurrent sends into shared envelopes.
 func BenchmarkBrokerPipeline(b *testing.B) {
 	const tasks = 16
 	const window = 16
 	const taskSize = 1 << 10
 	const latency = 500 * time.Microsecond
+	const muxRoutes = 4
 	modes := []struct {
-		name             string
-		broker, batching bool
+		name                    string
+		broker, batching, muxed bool
 	}{
-		{"direct", false, false},
-		{"broker-batched", true, true},
-		{"broker-unbatched", true, false},
+		{"direct", false, false, false},
+		{"broker-batched", true, true, false},
+		{"broker-unbatched", true, false, false},
+		{"broker-muxed", true, true, true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			var relayed int64
+			var relayed, supFrames int64
 			for i := 0; i < b.N; i++ {
+				if mode.muxed {
+					f, r := runMuxedBrokerPipeline(b, int64(i), muxRoutes, tasks, window, taskSize, latency)
+					supFrames += f
+					relayed += r
+					continue
+				}
 				p, err := NewParticipant("p", HonestFactory)
 				if err != nil {
 					b.Fatal(err)
@@ -718,6 +729,7 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				_ = supConn.Close()
+				supFrames += supConn.Stats().MsgsSent()
 				if err := <-serveErr; err != nil {
 					b.Fatal(err)
 				}
@@ -729,11 +741,99 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
+			b.ReportMetric(float64(supFrames)/float64(b.N*tasks), "sup-frames/task")
 			if mode.broker {
 				b.ReportMetric(float64(relayed)/float64(b.N), "relayed-frames/op")
 			}
 		})
 	}
+}
+
+// runMuxedBrokerPipeline runs one broker-muxed BrokerPipeline op: routes
+// workers, each its own identity, reached over ONE supervisor↔hub link
+// delayed at both ends, with the tasks split evenly across one pipelined
+// session per route. It returns the frames the supervisor wrote to the
+// shared link and the frames the hub relayed.
+func runMuxedBrokerPipeline(b *testing.B, seed int64, routes, tasks, window int, taskSize uint64, latency time.Duration) (supFrames, relayed int64) {
+	b.Helper()
+	hub := NewBrokerHub()
+	serveErrs := make([]chan error, routes)
+	for r := range serveErrs {
+		name := fmt.Sprintf("p-%d", r)
+		p, err := NewParticipant(name, HonestFactory)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hubDown, partConn := Pipe(WithPipeBuffer(8))
+		if err := HelloWorker(partConn, name); err != nil {
+			b.Fatal(err)
+		}
+		if err := hub.Attach(hubDown); err != nil {
+			b.Fatal(err)
+		}
+		serveErrs[r] = make(chan error, 1)
+		go func(ch chan error) { ch <- p.Serve(partConn) }(serveErrs[r])
+	}
+	sc, hubUp := Pipe(WithPipeBuffer(8))
+	mux, err := OpenMux(WithLatency(sc, latency), "supervisor")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := hub.Attach(WithLatency(hubUp, latency)); err != nil {
+		b.Fatal(err)
+	}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Spec: SchemeSpec{Kind: SchemeNICBS, M: 20, ChainIters: 1},
+		Seed: seed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	conns := make([]Conn, routes)
+	sessions := make([]*Session, routes)
+	for r := range conns {
+		if conns[r], err = mux.OpenRoute(fmt.Sprintf("p-%d", r)); err != nil {
+			b.Fatal(err)
+		}
+		if sessions[r], err = sup.OpenSession(conns[r], window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for j := 0; j < tasks; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			outcome, err := sessions[j%routes].RunTask(Task{
+				ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
+				Workload: "synthetic", Seed: 7,
+			})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if !outcome.Verdict.Accepted {
+				b.Errorf("honest task %d rejected: %s", j, outcome.Verdict.Reason)
+			}
+		}(j)
+	}
+	wg.Wait()
+	for r, sess := range sessions {
+		if err := sess.Close(); err != nil {
+			b.Fatal(err)
+		}
+		_ = conns[r].Close()
+	}
+	for _, ch := range serveErrs {
+		if err := <-ch; err != nil {
+			b.Fatal(err)
+		}
+	}
+	_ = mux.Close()
+	if err := hub.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return sc.Stats().MsgsSent(), hub.RelayedMessages()
 }
 
 // BenchmarkChunkedUpload measures a naive-scheme task whose full result

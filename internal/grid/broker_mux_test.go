@@ -507,7 +507,9 @@ func TestMuxCreditBackpressureIsolatesSlowRoute(t *testing.T) {
 // TestRunSimBrokeredMuxReport pins the sim-level mux surface: a clean
 // brokered pipelined run rides exactly one physical supervisor link, the
 // report's mux ledgers are populated, and the per-worker route snapshots
-// reconcile with the supervisor's endpoint totals.
+// reconcile with the supervisor's endpoint totals. Stream mode pins
+// placement round-robin, so every route carries tasks; under work stealing
+// one route could finish the queue before a sibling claimed anything.
 func TestRunSimBrokeredMuxReport(t *testing.T) {
 	cfg := SimConfig{
 		Spec:           SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
@@ -518,6 +520,7 @@ func TestRunSimBrokeredMuxReport(t *testing.T) {
 		Honest:         3,
 		PipelineWindow: 2,
 		Broker:         true,
+		Stream:         true,
 	}
 	report, err := RunSim(cfg)
 	if err != nil {

@@ -26,10 +26,19 @@ package grid
 // as the route's consumer drains its inbox — so a route whose consumer
 // stalls caps its own inbox at one adaptive window while the shared
 // reader keeps delivering to its siblings, and the hub parks (not blocks)
-// the starved route. Grants are written by a dedicated grant-writer
-// goroutine so a consumer draining its inbox never contends with data
-// senders for the physical link. Backpressure never idles the shared link
-// in either direction.
+// the starved route.
+//
+// Writes mirror the hub's one-writer-per-link design: every outbound frame —
+// route data, credit grants, open/close hellos — joins one FIFO that a
+// single group-commit writer goroutine drains. Each run of consecutive data
+// entries, from however many routes, leaves as ONE msgRouted envelope, so
+// concurrent route senders share the physical link's per-frame cost instead
+// of queueing behind each other's single-entry frames; control frames go
+// out on their own, in FIFO order. A sender waits until the writer reports
+// its entry on the wire, so Send keeps synchronous error semantics and the
+// route's Stats only ever count bytes that were written. A consumer
+// draining its inbox only queues its grant, never waits on the physical
+// send. Backpressure never idles the shared link in either direction.
 //
 // Route conns keep honest endpoint counters via Stats().CreditSend/Recv,
 // denominated in the frame sizes their traffic would have cost on a
@@ -69,22 +78,23 @@ type SupervisorMux struct {
 	label        string
 	creditWindow int64
 
-	// sendMu serializes writes to the shared physical link (the transport
-	// contract allows one concurrent sender); it is a leaf lock — nothing
-	// else is acquired under it.
-	sendMu sync.Mutex
-
 	mu      sync.Mutex
 	routes  map[uint64]*muxRouteConn
 	nextID  uint64
 	closed  bool
 	linkErr error
-	// pendingGrants queues credit grants for the grant-writer goroutine;
-	// grantStop tells it to exit once the queue is flushed or the link is
-	// down. Guarded by mu, woken via grantCond.
-	pendingGrants []creditMsg
-	grantStop     bool
-	grantCond     *sync.Cond
+	// out is the outbound FIFO the writer drains. queued counts the entries
+	// ever submitted, and an entry's sequence is its 1-based submission
+	// number; written is the watermark — the first written entries are on
+	// the wire. outCond wakes the writer; wroteCond wakes submitters waiting
+	// on the watermark. writerExited is set once the writer stopped for
+	// good: entries past the watermark then never go out. All guarded by mu.
+	out          []muxOut
+	queued       uint64
+	written      uint64
+	writerExited bool
+	outCond      *sync.Cond
+	wroteCond    *sync.Cond
 
 	// orphanFrames/orphanBytes count inner frames that arrived for a route
 	// this endpoint no longer has (closed locally before the hub learned);
@@ -101,7 +111,18 @@ type SupervisorMux struct {
 	creditReceived atomic.Int64
 
 	readerDone chan struct{}
-	grantsDone chan struct{}
+	writerDone chan struct{}
+}
+
+// muxOut is one outbound FIFO entry. A data entry carries a route's inner
+// frame and is packed with its neighbours into a shared msgRouted envelope;
+// a control entry carries a complete frame — an open/close hello, or a
+// credit grant of grant bytes — written on its own.
+type muxOut struct {
+	data  bool
+	route uint64
+	msg   transport.Message
+	grant uint64
 }
 
 // OpenMux attaches conn to a BrokerHub as a multiplexed supervisor link and
@@ -127,11 +148,12 @@ func OpenMux(conn transport.Conn, label string, opts ...MuxOption) (*SupervisorM
 		creditWindow: cfg.creditWindow,
 		routes:       make(map[uint64]*muxRouteConn),
 		readerDone:   make(chan struct{}),
-		grantsDone:   make(chan struct{}),
+		writerDone:   make(chan struct{}),
 	}
-	m.grantCond = sync.NewCond(&m.mu)
+	m.outCond = sync.NewCond(&m.mu)
+	m.wroteCond = sync.NewCond(&m.mu)
 	go m.readLoop()
-	go m.grantLoop()
+	go m.writeLoop()
 	return m, nil
 }
 
@@ -217,10 +239,12 @@ func (m *SupervisorMux) OpenRoute(worker string) (transport.Conn, error) {
 	r.cond = sync.NewCond(&r.mu)
 	m.routes[id] = r
 	m.mu.Unlock()
-	if err := m.sendFrame(transport.Message{
+	// Waiting for the hello to be written keeps it ahead of the route's
+	// first data entry on the wire.
+	if err := m.submit(muxOut{msg: transport.Message{
 		Type:    msgHello,
 		Payload: encodeHello(helloMsg{Role: helloRoleOpen, Worker: worker, Route: id}),
-	}); err != nil {
+	}}, true); err != nil {
 		m.mu.Lock()
 		delete(m.routes, id)
 		m.mu.Unlock()
@@ -229,12 +253,41 @@ func (m *SupervisorMux) OpenRoute(worker string) (transport.Conn, error) {
 	return r, nil
 }
 
-// sendFrame writes one frame to the shared physical link.
-func (m *SupervisorMux) sendFrame(msg transport.Message) error {
-	m.sendMu.Lock()
-	defer m.sendMu.Unlock()
-	//gridlint:ignore chansendunderlock sendMu is a leaf mutex whose only job is serializing this send; no other lock or queue is touched under it
-	return m.conn.Send(msg)
+// submit appends e to the outbound FIFO and, when wait is set, blocks until
+// the writer has put it on the wire. Nothing is queued once the mux is
+// closed or its link is down; a waiter whose entry the writer never wrote
+// gets the reason instead.
+func (m *SupervisorMux) submit(e muxOut, wait bool) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || m.linkErr != nil {
+		return m.downErrLocked()
+	}
+	m.out = append(m.out, e)
+	m.queued++
+	seq := m.queued
+	if len(m.out) == 1 {
+		m.outCond.Signal() // the writer only sleeps on an empty FIFO
+	}
+	if !wait {
+		return nil
+	}
+	for m.written < seq && !m.writerExited {
+		m.wroteCond.Wait()
+	}
+	if m.written >= seq {
+		return nil
+	}
+	return m.downErrLocked()
+}
+
+// downErrLocked reports why the mux writes nothing more: ErrClosed after a
+// local Close, otherwise the link failure, still matching ErrClosed.
+func (m *SupervisorMux) downErrLocked() error {
+	if m.closed || m.linkErr == nil {
+		return transport.ErrClosed
+	}
+	return fmt.Errorf("%w: mux link down: %v", transport.ErrClosed, m.linkErr)
 }
 
 // route looks up a live route by ID.
@@ -331,9 +384,7 @@ func (m *SupervisorMux) fail(err error) {
 	if m.linkErr == nil {
 		m.linkErr = err
 	}
-	m.grantStop = true
-	m.pendingGrants = nil
-	m.grantCond.Broadcast()
+	m.outCond.Broadcast()
 	routes := make([]*muxRouteConn, 0, len(m.routes))
 	for _, r := range m.routes {
 		routes = append(routes, r)
@@ -346,67 +397,114 @@ func (m *SupervisorMux) fail(err error) {
 }
 
 // Close tears down the mux: the physical link closes, every open route
-// observes a dead connection, and Close blocks until the reader and the
-// grant writer have exited so the mux holds no goroutines afterwards.
+// observes a dead connection, queued entries are abandoned (their waiting
+// senders get ErrClosed), and Close blocks until the reader and the writer
+// have exited so the mux holds no goroutines afterwards.
 func (m *SupervisorMux) Close() error {
 	m.mu.Lock()
 	already := m.closed
 	m.closed = true
-	m.grantStop = true
-	m.pendingGrants = nil
-	m.grantCond.Broadcast()
+	m.outCond.Broadcast()
 	m.mu.Unlock()
 	if !already {
 		_ = m.conn.Close()
 	}
 	<-m.readerDone
-	<-m.grantsDone
+	<-m.writerDone
 	return nil
 }
 
-// queueGrant hands one credit grant to the grant-writer goroutine. Called
-// by routes after releasing their own mutex — route mutexes are leaves
-// under m.mu, never the reverse.
+// queueGrant hands one credit grant to the writer without waiting for it to
+// be written. Called by routes after releasing their own mutex — route
+// mutexes are leaves under m.mu, never the reverse.
 func (m *SupervisorMux) queueGrant(g creditMsg) {
-	m.mu.Lock()
-	if m.grantStop || m.closed || m.linkErr != nil {
-		m.mu.Unlock()
-		return
-	}
-	m.pendingGrants = append(m.pendingGrants, g)
-	m.grantCond.Broadcast()
-	m.mu.Unlock()
+	_ = m.submit(muxOut{
+		msg:   transport.Message{Type: msgCredit, Payload: encodeCredit(g)},
+		grant: g.Bytes,
+	}, false)
 }
 
-// grantLoop is the mux's second and last goroutine: it writes queued
-// credit grants to the shared link, so a route consumer draining its inbox
-// never blocks on the physical send itself — symmetric to the hub's
-// writeLoop carrying grants in its ctrl queue.
+// writeLoop is the mux's second and last goroutine and the physical link's
+// only writer — the mirror of the hub's per-link writeLoop. It takes the
+// whole FIFO at once and writes it as few frames as FIFO order allows: each
+// run of consecutive data entries becomes one envelope, each control entry
+// its own frame. After every physical send it advances the written
+// watermark and wakes the waiting senders with one broadcast. A failed send
+// kills the link; a closed or failed mux stops the writer with whatever is
+// still queued unwritten.
 //
 //gridlint:credit grant egress is only observable where the control frame is written
-func (m *SupervisorMux) grantLoop() {
-	defer close(m.grantsDone)
+func (m *SupervisorMux) writeLoop() {
+	defer close(m.writerDone)
+	var batch []muxOut
+	var scratch []routedEntry
 	for {
 		m.mu.Lock()
-		for len(m.pendingGrants) == 0 && !m.grantStop {
-			m.grantCond.Wait()
+		for len(m.out) == 0 && !m.closed && m.linkErr == nil {
+			m.outCond.Wait()
 		}
-		if len(m.pendingGrants) == 0 {
+		if m.closed || m.linkErr != nil {
+			m.writerExited = true
+			m.wroteCond.Broadcast()
 			m.mu.Unlock()
 			return
 		}
-		g := m.pendingGrants[0]
-		m.pendingGrants = m.pendingGrants[1:]
+		batch, m.out = m.out, batch[:0]
 		m.mu.Unlock()
-		out := transport.Message{Type: msgCredit, Payload: encodeCredit(g)}
-		if err := m.sendFrame(out); err != nil {
-			m.fail(err)
-			return
+		for i := 0; i < len(batch); {
+			var out transport.Message
+			var n int
+			out, n, scratch = nextMuxFrame(batch[i:], scratch)
+			if err := m.conn.Send(out); err != nil {
+				m.fail(err)
+				break
+			}
+			if g := batch[i].grant; g > 0 {
+				m.grantFrames.Add(1)
+				m.grantWireBytes.Add(out.FrameSize())
+				m.creditGranted.Add(int64(g))
+			}
+			i += n
+			m.mu.Lock()
+			m.written += uint64(n)
+			m.wroteCond.Broadcast()
+			m.mu.Unlock()
 		}
-		m.grantFrames.Add(1)
-		m.grantWireBytes.Add(out.FrameSize())
-		m.creditGranted.Add(int64(g.Bytes))
+		clear(batch) // drop payload references before the slice is reused
 	}
+}
+
+// maxEnvelopeBody bounds the entries of one envelope so the whole payload,
+// entry count included (at most a 3-byte uvarint under maxRoutedEntries),
+// stays a legal frame.
+const maxEnvelopeBody = transport.MaxFrameBytes - 3
+
+// nextMuxFrame builds the next physical frame from the head of q and
+// reports how many entries it carries: a control entry alone, or the run
+// of data entries at the head packed into one envelope, split only where
+// the frame-size or entry-count cap forces it. scratch is the caller's
+// reusable entry buffer, returned emptied.
+func nextMuxFrame(q []muxOut, scratch []routedEntry) (transport.Message, int, []routedEntry) {
+	if !q[0].data {
+		return q[0].msg, 1, scratch
+	}
+	entries := scratch[:0]
+	var body int
+	for _, o := range q {
+		if !o.data || len(entries) == maxRoutedEntries {
+			break
+		}
+		e := routedEntry{Route: o.route, Type: o.msg.Type, Payload: o.msg.Payload}
+		if len(entries) > 0 && body+e.encodedSize() > maxEnvelopeBody {
+			break
+		}
+		entries = append(entries, e)
+		body += e.encodedSize()
+	}
+	out := transport.Message{Type: msgRouted, Payload: encodeRouted(entries)}
+	n := len(entries)
+	clear(entries)
+	return out, n, entries[:0]
 }
 
 // muxRouteConn is one route's supervisor endpoint: a transport.Conn whose
@@ -448,10 +546,14 @@ func (r *muxRouteConn) Worker() string { return r.worker }
 func (r *muxRouteConn) Stats() *transport.Stats { return &r.stats }
 
 // Send implements transport.Conn: it spends route credit (blocking while
-// exhausted), wraps the frame in a single-entry envelope, and writes it to
-// the shared link. The debit may push the balance negative for one frame
-// larger than the whole window — the hub's queue bound allows exactly that
-// overshoot, so oversized-but-legal frames cannot deadlock.
+// exhausted), queues the frame on the mux's outbound FIFO, and waits until
+// the writer has put it on the shared link — usually packed into one
+// envelope with concurrent sends of other routes. Only a written frame is
+// credited to the route's Stats; if the link fails or the mux closes
+// first, Send returns the error. The debit may push the balance negative
+// for one frame larger than the whole window — the hub's queue bound
+// allows exactly that overshoot, so oversized-but-legal frames cannot
+// deadlock.
 func (r *muxRouteConn) Send(m transport.Message) error {
 	if int64(len(m.Payload)) > muxInnerPayloadCap {
 		return fmt.Errorf("%w: %d-byte payload cannot cross a multiplexed link",
@@ -468,8 +570,7 @@ func (r *muxRouteConn) Send(m transport.Message) error {
 	}
 	r.credit -= size
 	r.mu.Unlock()
-	payload := encodeRouted([]routedEntry{{Route: r.id, Type: m.Type, Payload: m.Payload}})
-	if err := r.mux.sendFrame(transport.Message{Type: msgRouted, Payload: payload}); err != nil {
+	if err := r.mux.submit(muxOut{data: true, route: r.id, msg: m}, true); err != nil {
 		return err
 	}
 	r.stats.CreditSend(size)
@@ -479,9 +580,9 @@ func (r *muxRouteConn) Send(m transport.Message) error {
 // Recv implements transport.Conn: inbox frames first, then the route's
 // terminal condition — ErrClosed after a local Close, the link error after
 // a link failure, io.EOF once the hub announced the worker side finished.
-// Each drain feeds the receive ledger; when a grant falls due it is handed
-// to the mux's grant writer (after releasing the route mutex — the grant
-// queue lives under m.mu, which is never taken under r.mu). Grants ride
+// Each drain feeds the receive ledger; when a grant falls due it is queued
+// for the mux's writer (after releasing the route mutex — the FIFO lives
+// under m.mu, which is never taken under r.mu). Grants ride
 // the link as control frames, not route traffic: they never touch the
 // route's Stats, so per-route endpoint counters keep reconciling with the
 // hub's RouteStats.
@@ -530,6 +631,8 @@ func (r *muxRouteConn) Recv() (transport.Message, error) {
 // Close implements transport.Conn: the route is retired locally, pending
 // Send/Recv calls unblock, and — when the link is still healthy — a
 // best-effort close hello tells the hub to drain and retire the route.
+// Close does not wait for the hello to be written; FIFO order puts it
+// after every data frame the route's Sends already queued.
 func (r *muxRouteConn) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -542,10 +645,10 @@ func (r *muxRouteConn) Close() error {
 	r.mu.Unlock()
 	r.mux.dropRoute(r.id)
 	if notify {
-		_ = r.mux.sendFrame(transport.Message{
+		_ = r.mux.submit(muxOut{msg: transport.Message{
 			Type:    msgHello,
 			Payload: encodeHello(helloMsg{Role: helloRoleClose, Worker: r.worker, Route: r.id}),
-		})
+		}}, false)
 	}
 	return nil
 }

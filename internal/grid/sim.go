@@ -483,6 +483,29 @@ func deadConn() transport.Conn {
 	return a
 }
 
+// fillBroker copies a closed hub's relay ledgers and per-worker route
+// snapshots into the report.
+func (r *SimReport) fillBroker(hub *BrokerHub) {
+	r.Brokered = true
+	r.BrokerRelayedMsgs = hub.RelayedMessages()
+	r.BrokerRelayedBytes = hub.RelayedBytes()
+	r.BrokerMuxLinks = hub.MuxLinks()
+	r.BrokerRoutesOpened = hub.RoutesOpened()
+	r.BrokerControlMsgs = hub.ControlMessages()
+	r.BrokerControlBytes = hub.ControlBytes()
+	r.BrokerControlInMsgs = hub.ControlIngressMessages()
+	r.BrokerControlInBytes = hub.ControlIngressBytes()
+	r.BrokerMuxOverheadIngress = hub.MuxOverheadIngressBytes()
+	r.BrokerMuxOverheadEgress = hub.MuxOverheadEgressBytes()
+	names := hub.Workers()
+	r.BrokerRoutes = make(map[string]RouteStats, len(names))
+	for _, name := range names {
+		if rs, ok := hub.WorkerStats(name); ok {
+			r.BrokerRoutes[name] = rs
+		}
+	}
+}
+
 // faultSeed derives a distinct, reproducible fault-plan seed per (run,
 // worker, dial, direction).
 func faultSeed(seed uint64, worker, dial, direction int) int64 {
@@ -696,25 +719,7 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 	}
 	if hub != nil {
 		// Close blocked until every relay pump exited, so these are final.
-		report.Brokered = true
-		report.BrokerRelayedMsgs = hub.RelayedMessages()
-		report.BrokerRelayedBytes = hub.RelayedBytes()
-		report.BrokerMuxLinks = hub.MuxLinks()
-		report.BrokerRoutesOpened = hub.RoutesOpened()
-		report.BrokerControlMsgs = hub.ControlMessages()
-		report.BrokerControlBytes = hub.ControlBytes()
-		report.BrokerControlInMsgs = hub.ControlIngressMessages()
-		report.BrokerControlInBytes = hub.ControlIngressBytes()
-		report.BrokerMuxOverheadIngress = hub.MuxOverheadIngressBytes()
-		report.BrokerMuxOverheadEgress = hub.MuxOverheadEgressBytes()
-		names := hub.Workers()
-		sort.Strings(names)
-		report.BrokerRoutes = make(map[string]RouteStats, len(names))
-		for _, name := range names {
-			if rs, ok := hub.WorkerStats(name); ok {
-				report.BrokerRoutes[name] = rs
-			}
-		}
+		report.fillBroker(hub)
 	}
 
 	for _, w := range workers {

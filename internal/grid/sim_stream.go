@@ -511,17 +511,7 @@ func runStreamAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (re
 		// Only the final attempt's hub is reported: a restart rebuilds the
 		// broker, so relay counters cover the post-restore portion of the run
 		// (unlike the checkpointed task and traffic totals).
-		report.Brokered = true
-		report.BrokerRelayedMsgs = hub.RelayedMessages()
-		report.BrokerRelayedBytes = hub.RelayedBytes()
-		report.BrokerMuxLinks = hub.MuxLinks()
-		report.BrokerRoutesOpened = hub.RoutesOpened()
-		report.BrokerControlMsgs = hub.ControlMessages()
-		report.BrokerControlBytes = hub.ControlBytes()
-		report.BrokerControlInMsgs = hub.ControlIngressMessages()
-		report.BrokerControlInBytes = hub.ControlIngressBytes()
-		report.BrokerMuxOverheadIngress = hub.MuxOverheadIngressBytes()
-		report.BrokerMuxOverheadEgress = hub.MuxOverheadEgressBytes()
+		report.fillBroker(hub)
 	}
 	for id := 0; id < total; id++ {
 		v, ok := st.verdicts[uint64(id)]

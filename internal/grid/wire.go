@@ -236,12 +236,18 @@ const frameOverheadBytes = 9
 // maxBatchMsgs for the same attacker-controlled-count reason.
 const maxRoutedEntries = maxBatchMsgs
 
+// encodedSize reports the entry's bytes inside an envelope: route tag,
+// type byte, length prefix, and payload.
+func (e routedEntry) encodedSize() int {
+	return uvarintLen(e.Route) + 1 + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+}
+
 // encodeRouted writes the envelope in one exact-size allocation; like
 // encodeBatch it sits on the relay hot path of every muxed link.
 func encodeRouted(entries []routedEntry) []byte {
 	size := uvarintLen(uint64(len(entries)))
 	for _, e := range entries {
-		size += uvarintLen(e.Route) + 1 + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+		size += e.encodedSize()
 	}
 	out := make([]byte, size)
 	off := binary.PutUvarint(out, uint64(len(entries)))
