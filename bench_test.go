@@ -279,10 +279,8 @@ func BenchmarkMerkleBuildParallel(b *testing.B) {
 }
 
 // BenchmarkMerkleStreamBuild measures the one-pass commitment stream — the
-// participant path that never holds the leaf set in memory — serial versus
-// sharded across worker goroutines. Roots are bit-identical in every mode.
-// The serial fast path is allocation-free per Add; build-wide allocations
-// stay O(depth + shards).
+// participant path that never holds the leaf set in memory. The fast path
+// is allocation-free per Add; build-wide allocations stay O(depth).
 func BenchmarkMerkleStreamBuild(b *testing.B) {
 	f := benchWorkload(6)
 	for _, n := range []int{1 << 16, 1 << 18} {
@@ -290,10 +288,10 @@ func BenchmarkMerkleStreamBuild(b *testing.B) {
 		for i := range values {
 			values[i] = f.Eval(uint64(i))
 		}
-		run := func(b *testing.B, opts ...MerkleOption) {
+		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sb, err := NewMerkleStreamBuilder(n, opts...)
+				sb, err := NewMerkleStreamBuilder(n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -306,13 +304,7 @@ func BenchmarkMerkleStreamBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) { run(b) })
-		for _, p := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n=%d/sharded-p%d", n, p), func(b *testing.B) {
-				run(b, WithMerkleParallelism(p))
-			})
-		}
+		})
 	}
 }
 
@@ -628,39 +620,37 @@ func BenchmarkReplicatedDoubleCheck(b *testing.B) {
 }
 
 // BenchmarkBrokerPipeline measures the GRACE relay hop: the same pipelined
-// NI-CBS workload run direct versus through a BrokerHub, with relay-hop
-// batching on and off. The topology models the GRACE deployment — the
-// supervisor↔broker leg is the WAN hop where every frame send pays a 500µs
-// link delay, the broker↔participant leg is the cheap grid-site LAN — so
-// direct and brokered runs cross one delayed hop per frame and are directly
-// comparable. Relay-hop batching shows up in the relayed-frames/op metric:
-// LAN-fast participant bursts queue at the hub behind the WAN sends and are
-// re-coalesced, so the batched hub forwards the same tagged traffic in
-// fewer delayed frames. The broker-muxed mode splits the same tasks over
-// four routes to four workers sharing ONE delayed supervisor link (the
-// OpenMux topology); sup-frames/task shows the mux writer packing the
+// NI-CBS workload run direct versus through a BrokerHub. The topology
+// models the GRACE deployment — the supervisor↔broker leg is the WAN hop
+// where every frame send pays a 500µs link delay, the broker↔participant
+// leg is the cheap grid-site LAN — so direct and brokered runs cross one
+// delayed hop per frame and are directly comparable. The broker mode runs
+// one route on one OpenMux link; relay-hop batching shows up in the
+// relayed-frames/op metric: LAN-fast participant bursts queue at the hub
+// behind the WAN sends and are re-coalesced, so the hub forwards the same
+// tagged traffic in fewer delayed frames. The broker-muxed mode splits the
+// same tasks over four routes to four workers sharing ONE delayed
+// supervisor link; sup-frames/task shows the mux writer packing the
 // routes' concurrent sends into shared envelopes.
 func BenchmarkBrokerPipeline(b *testing.B) {
 	const tasks = 16
 	const window = 16
 	const taskSize = 1 << 10
 	const latency = 500 * time.Microsecond
-	const muxRoutes = 4
 	modes := []struct {
-		name                    string
-		broker, batching, muxed bool
+		name   string
+		routes int // 0 = direct
 	}{
-		{"direct", false, false, false},
-		{"broker-batched", true, true, false},
-		{"broker-unbatched", true, false, false},
-		{"broker-muxed", true, true, true},
+		{"direct", 0},
+		{"broker", 1},
+		{"broker-muxed", 4},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			var relayed, supFrames int64
 			for i := 0; i < b.N; i++ {
-				if mode.muxed {
-					f, r := runMuxedBrokerPipeline(b, int64(i), muxRoutes, tasks, window, taskSize, latency)
+				if mode.routes > 0 {
+					f, r := runBrokerPipeline(b, int64(i), mode.routes, tasks, window, taskSize, latency)
 					supFrames += f
 					relayed += r
 					continue
@@ -670,31 +660,9 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				serveErr := make(chan error, 1)
-				var supConn Conn
-				var hub *BrokerHub
-				if mode.broker {
-					hub = NewBrokerHub(WithRelayBatching(mode.batching))
-					hubDown, partConn := Pipe(WithPipeBuffer(8))
-					if err := HelloWorker(partConn, "p"); err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(hubDown); err != nil {
-						b.Fatal(err)
-					}
-					go func() { serveErr <- p.Serve(partConn) }()
-					sc, hubUp := Pipe(WithPipeBuffer(8))
-					supConn = WithLatency(sc, latency)
-					if err := HelloSupervisor(supConn, "p"); err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(WithLatency(hubUp, latency)); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					sc, partConn := Pipe(WithPipeBuffer(8))
-					go func() { serveErr <- p.Serve(WithLatency(partConn, latency)) }()
-					supConn = WithLatency(sc, latency)
-				}
+				sc, partConn := Pipe(WithPipeBuffer(8))
+				go func() { serveErr <- p.Serve(WithLatency(partConn, latency)) }()
+				supConn := WithLatency(sc, latency)
 				sup, err := NewSupervisor(SupervisorConfig{
 					Spec: SchemeSpec{Kind: SchemeNICBS, M: 20, ChainIters: 1},
 					Seed: int64(i),
@@ -733,28 +701,22 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 				if err := <-serveErr; err != nil {
 					b.Fatal(err)
 				}
-				if hub != nil {
-					if err := hub.Close(); err != nil {
-						b.Fatal(err)
-					}
-					relayed += hub.RelayedMessages()
-				}
 			}
 			b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
 			b.ReportMetric(float64(supFrames)/float64(b.N*tasks), "sup-frames/task")
-			if mode.broker {
+			if mode.routes > 0 {
 				b.ReportMetric(float64(relayed)/float64(b.N), "relayed-frames/op")
 			}
 		})
 	}
 }
 
-// runMuxedBrokerPipeline runs one broker-muxed BrokerPipeline op: routes
-// workers, each its own identity, reached over ONE supervisor↔hub link
-// delayed at both ends, with the tasks split evenly across one pipelined
-// session per route. It returns the frames the supervisor wrote to the
-// shared link and the frames the hub relayed.
-func runMuxedBrokerPipeline(b *testing.B, seed int64, routes, tasks, window int, taskSize uint64, latency time.Duration) (supFrames, relayed int64) {
+// runBrokerPipeline runs one brokered BrokerPipeline op: routes workers,
+// each its own identity, reached over ONE supervisor↔hub link delayed at
+// both ends, with the tasks split evenly across one pipelined session per
+// route. It returns the frames the supervisor wrote to the shared link and
+// the frames the hub relayed.
+func runBrokerPipeline(b *testing.B, seed int64, routes, tasks, window int, taskSize uint64, latency time.Duration) (supFrames, relayed int64) {
 	b.Helper()
 	hub := NewBrokerHub()
 	serveErrs := make([]chan error, routes)
@@ -900,167 +862,131 @@ func BenchmarkHashChain(b *testing.B) {
 }
 
 // BenchmarkBroker1kRoutes scales the hub to 1000 concurrent supervisor
-// routes and compares the legacy topology — one physical supervisor link
-// per route — against the multiplexed topology, where every route shares
-// ONE physical supervisor link as a tagged sub-stream with per-route
-// credit flow control. Each route binds a registered participant and runs
-// one NI-CBS task, so the measured traffic crosses the full relay path.
-// The goroutines/route metric is sampled after every route is bound and
-// includes the per-worker floor (one Serve goroutine plus the hub's two
-// worker-link loops) that both modes pay; the dedicated mode adds two more
-// hub loops per route for its per-route physical links, while the muxed
-// mode pays two loops for the single shared link regardless of route
-// count. Single-CPU caveat: with GOMAXPROCS=1 the modes' wall-clock times
-// converge (everything serializes anyway); the goroutine budget and
-// frames-relayed/s remain the meaningful comparison.
+// routes, every one sharing ONE physical supervisor link as a tagged
+// sub-stream with per-route credit flow control. Each route binds a
+// registered participant and runs one NI-CBS task, so the measured traffic
+// crosses the full relay path. The goroutines/route metric is sampled
+// after every route is bound and includes the per-worker floor (one Serve
+// goroutine plus the hub's two worker-link loops); the shared link adds
+// two hub loops and two mux loops regardless of route count.
 func BenchmarkBroker1kRoutes(b *testing.B) {
 	const routes = 1000
 	const taskSize = 256
-	modes := []struct {
-		name  string
-		muxed bool
-	}{
-		{"dedicated-links", false},
-		{"muxed-one-link", true},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			var relayed int64
-			var goroutinesPerRoute float64
-			var creditWindowBytes float64
-			for i := 0; i < b.N; i++ {
-				base := runtime.NumGoroutine()
-				hub := NewBrokerHub()
-				serveErrs := make([]chan error, routes)
-				partConns := make([]Conn, routes)
-				for j := 0; j < routes; j++ {
-					p, err := NewParticipant(fmt.Sprintf("w-%d", j), HonestFactory)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hubDown, partConn := Pipe(WithPipeBuffer(8))
-					if err := HelloWorker(partConn, p.ID()); err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(hubDown); err != nil {
-						b.Fatal(err)
-					}
-					serveErrs[j] = make(chan error, 1)
-					partConns[j] = partConn
-					go func(j int, p *Participant) { serveErrs[j] <- p.Serve(partConns[j]) }(j, p)
-				}
-				conns := make([]Conn, routes)
-				var mux *SupervisorMux
-				if mode.muxed {
-					sc, hubUp := Pipe(WithPipeBuffer(8))
-					m, err := OpenMux(sc, "bench-sup")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(hubUp); err != nil {
-						b.Fatal(err)
-					}
-					mux = m
-					for j := 0; j < routes; j++ {
-						c, err := m.OpenRoute(fmt.Sprintf("w-%d", j))
-						if err != nil {
-							b.Fatal(err)
-						}
-						conns[j] = c
-					}
-				} else {
-					for j := 0; j < routes; j++ {
-						sc, hubUp := Pipe(WithPipeBuffer(8))
-						if err := HelloSupervisor(sc, fmt.Sprintf("w-%d", j)); err != nil {
-							b.Fatal(err)
-						}
-						if err := hub.Attach(hubUp); err != nil {
-							b.Fatal(err)
-						}
-						conns[j] = sc
-					}
-				}
-				for j := 0; j < routes; j++ {
-					name := fmt.Sprintf("w-%d", j)
-					for {
-						st, ok := hub.WorkerStats(name)
-						if ok && st.Binds >= 1 {
-							break
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-				}
-				goroutinesPerRoute += float64(runtime.NumGoroutine()-base) / routes
-				sup, err := NewSupervisor(SupervisorConfig{
-					Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
-					Seed: int64(i),
-				})
+	b.Run("muxed-one-link", func(b *testing.B) {
+		var relayed int64
+		var goroutinesPerRoute float64
+		var creditWindowBytes float64
+		for i := 0; i < b.N; i++ {
+			base := runtime.NumGoroutine()
+			hub := NewBrokerHub()
+			serveErrs := make([]chan error, routes)
+			partConns := make([]Conn, routes)
+			for j := 0; j < routes; j++ {
+				p, err := NewParticipant(fmt.Sprintf("w-%d", j), HonestFactory)
 				if err != nil {
 					b.Fatal(err)
 				}
-				var wg sync.WaitGroup
-				errs := make(chan error, routes)
-				for j := 0; j < routes; j++ {
-					wg.Add(1)
-					go func(j int) {
-						defer wg.Done()
-						sess, err := sup.OpenSession(conns[j], 2)
-						if err != nil {
-							errs <- fmt.Errorf("route %d open: %w", j, err)
-							return
-						}
-						outcome, err := sess.RunTask(Task{
-							ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
-							Workload: "synthetic", Seed: 7,
-						})
-						if err != nil {
-							errs <- fmt.Errorf("route %d task: %w", j, err)
-							return
-						}
-						if !outcome.Verdict.Accepted {
-							errs <- fmt.Errorf("route %d: honest task rejected: %s", j, outcome.Verdict.Reason)
-							return
-						}
-						errs <- sess.Close()
-					}(j)
+				hubDown, partConn := Pipe(WithPipeBuffer(8))
+				if err := HelloWorker(partConn, p.ID()); err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
+				if err := hub.Attach(hubDown); err != nil {
+					b.Fatal(err)
+				}
+				serveErrs[j] = make(chan error, 1)
+				partConns[j] = partConn
+				go func(j int, p *Participant) { serveErrs[j] <- p.Serve(partConns[j]) }(j, p)
+			}
+			conns := make([]Conn, routes)
+			sc, hubUp := Pipe(WithPipeBuffer(8))
+			mux, err := OpenMux(sc, "bench-sup")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := hub.Attach(hubUp); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < routes; j++ {
+				c, err := mux.OpenRoute(fmt.Sprintf("w-%d", j))
+				if err != nil {
+					b.Fatal(err)
+				}
+				conns[j] = c
+			}
+			for j := 0; j < routes; j++ {
+				name := fmt.Sprintf("w-%d", j)
+				for {
+					st, ok := hub.WorkerStats(name)
+					if ok && st.Binds >= 1 {
+						break
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			goroutinesPerRoute += float64(runtime.NumGoroutine()-base) / routes
+			sup, err := NewSupervisor(SupervisorConfig{
+				Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
+				Seed: int64(i),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, routes)
+			for j := 0; j < routes; j++ {
+				wg.Add(1)
+				go func(j int) {
+					defer wg.Done()
+					sess, err := sup.OpenSession(conns[j], 2)
 					if err != nil {
-						b.Fatal(err)
+						errs <- fmt.Errorf("route %d open: %w", j, err)
+						return
 					}
-				}
-				if mode.muxed {
-					// Adaptive credit sizing is the hub's memory bound at this
-					// fan-out: the live per-route windows sum far below the
-					// static routes x 256 KiB ceiling of fixed windows.
-					creditWindowBytes += float64(hub.CreditWindowBytes())
-				}
-				for _, c := range conns {
-					_ = c.Close()
-				}
-				if mux != nil {
-					if err := mux.Close(); err != nil {
-						b.Fatal(err)
+					outcome, err := sess.RunTask(Task{
+						ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
+						Workload: "synthetic", Seed: 7,
+					})
+					if err != nil {
+						errs <- fmt.Errorf("route %d task: %w", j, err)
+						return
 					}
-				}
-				for j := 0; j < routes; j++ {
-					if err := <-serveErrs[j]; err != nil {
-						b.Fatalf("participant w-%d serve: %v", j, err)
+					if !outcome.Verdict.Accepted {
+						errs <- fmt.Errorf("route %d: honest task rejected: %s", j, outcome.Verdict.Reason)
+						return
 					}
-				}
-				relayed += hub.RelayedMessages()
-				if err := hub.Close(); err != nil {
+					errs <- sess.Close()
+				}(j)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(goroutinesPerRoute/float64(b.N), "goroutines/route")
-			b.ReportMetric(float64(relayed)/b.Elapsed().Seconds(), "frames-relayed/s")
-			b.ReportMetric(float64(b.N*routes)/b.Elapsed().Seconds(), "tasks/s")
-			if mode.muxed {
-				b.ReportMetric(creditWindowBytes/float64(b.N*routes), "credit-window-B/route")
+			// Adaptive credit sizing is the hub's memory bound at this
+			// fan-out: the live per-route windows sum far below the
+			// static routes x 256 KiB ceiling of fixed windows.
+			creditWindowBytes += float64(hub.CreditWindowBytes())
+			for _, c := range conns {
+				_ = c.Close()
 			}
-		})
-	}
+			if err := mux.Close(); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < routes; j++ {
+				if err := <-serveErrs[j]; err != nil {
+					b.Fatalf("participant w-%d serve: %v", j, err)
+				}
+			}
+			relayed += hub.RelayedMessages()
+			if err := hub.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(goroutinesPerRoute/float64(b.N), "goroutines/route")
+		b.ReportMetric(float64(relayed)/b.Elapsed().Seconds(), "frames-relayed/s")
+		b.ReportMetric(float64(b.N*routes)/b.Elapsed().Seconds(), "tasks/s")
+		b.ReportMetric(creditWindowBytes/float64(b.N*routes), "credit-window-B/route")
+	})
 }

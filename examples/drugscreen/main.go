@@ -40,9 +40,10 @@ func run() error {
 		int(k), cost.Cheating, cost.Honest)
 
 	// Supervisor ↔ broker hub ↔ participant, wired over in-memory pipes.
-	// The worker registers its identity with the hub; the supervisor's
-	// link names that identity and the hub binds the route. The hub relays
-	// without interpreting task payloads; NI-CBS needs no challenge leg.
+	// The worker registers its identity with the hub; the supervisor
+	// multiplexes its hub link, opens a route naming that identity, and
+	// the hub binds the route. The hub relays without interpreting task
+	// payloads; NI-CBS needs no challenge leg.
 	hub := uncheatgrid.NewBrokerHub()
 	defer hub.Close()
 
@@ -61,10 +62,16 @@ func run() error {
 	go func() { serveDone <- participant.Serve(partConn) }()
 
 	supConn, brokerUp := uncheatgrid.Pipe(uncheatgrid.WithPipeBuffer(8))
-	if err := uncheatgrid.HelloSupervisor(supConn, participant.ID()); err != nil {
+	mux, err := uncheatgrid.OpenMux(supConn, "supervisor")
+	if err != nil {
 		return err
 	}
+	defer mux.Close()
 	if err := hub.Attach(brokerUp); err != nil {
+		return err
+	}
+	route, err := mux.OpenRoute(participant.ID())
+	if err != nil {
 		return err
 	}
 
@@ -81,7 +88,7 @@ func run() error {
 	}
 
 	for taskID := uint64(0); taskID < 4; taskID++ {
-		outcome, err := supervisor.RunTask(supConn, uncheatgrid.Task{
+		outcome, err := supervisor.RunTask(route, uncheatgrid.Task{
 			ID:       taskID,
 			Start:    taskID * taskSize,
 			N:        taskSize,
@@ -98,7 +105,7 @@ func run() error {
 		}
 	}
 
-	if err := supConn.Close(); err != nil {
+	if err := route.Close(); err != nil {
 		return err
 	}
 	if err := <-serveDone; err != nil {

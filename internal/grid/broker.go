@@ -11,12 +11,14 @@ package grid
 //
 //   - Identity-routed multiplexing. Every link attached to the hub opens
 //     with a msgHello handshake (wire.go): participant links register under
-//     a worker identity, supervisor links name the worker they want, and
-//     the hub binds the pair into a route. One hub relays any number of
-//     supervisor↔worker routes concurrently.
+//     a worker identity (HelloWorker), and supervisor links are multiplexed
+//     (OpenMux) — each route opened on one names the worker it wants, and
+//     the hub binds the pair. One hub relays any number of
+//     supervisor↔worker routes concurrently, and one supervisor link
+//     carries any number of them.
 //
 //   - Resume-through-relay. Routing is by identity, not by physical link:
-//     when a transport fault kills a route, a supervisor redial whose hello
+//     when a transport fault kills a route, a supervisor redial whose route
 //     names the same worker is re-bound to that worker's freshly registered
 //     link, so the msgResume machinery of PR 3/4 (mid-protocol resume,
 //     verdict re-delivery) works end-to-end through the relay. Faulty
@@ -26,23 +28,27 @@ package grid
 //   - Relay-hop batching. Frames bound for the same downstream link are
 //     re-coalesced at the hub: consecutive msgBatch frames queued behind a
 //     slow downstream send are decoded and merged into one larger batch
-//     frame, so a pipelined NI-CBS session pays the downstream link delay
-//     once per burst instead of once per frame — the Goodrich pipeline
-//     shape (arXiv:0906.1225) applied at the relay hop. Per-task tagged
-//     byte accounting is preserved exactly (a tagged message's wire size
-//     is independent of which frame carries it); only shared framing
+//     frame, and supervisor-bound units of several routes share one mux
+//     envelope, so a pipelined NI-CBS session pays the downstream link
+//     delay once per burst instead of once per frame — the Goodrich
+//     pipeline shape (arXiv:0906.1225) applied at the relay hop. Per-task
+//     tagged byte accounting is preserved exactly (a tagged message's wire
+//     size is independent of which frame carries it); only shared framing
 //     overhead differs between the two hops.
 //
-//   - Fault transparency. A CRC-corrupt frame crossing the relay
-//     (transport.ErrFrameCorrupt) quarantines the affected route — both
-//     endpoint links are closed, so each peer observes a dead connection
-//     and the session layer's quarantine/resume machinery takes over — and
-//     never kills the hub: other routes keep relaying.
+//   - Fault transparency. A CRC-corrupt frame on a worker link quarantines
+//     that route; one on a supervisor link, where no route tag survived,
+//     quarantines that physical link and every route on it. Quarantine
+//     closes the affected endpoints, so each peer observes a dead
+//     connection and the session layer's quarantine/resume machinery takes
+//     over, and it never kills the hub: other links keep relaying. A
+//     supervisor that wants per-route fault isolation on its own leg opens
+//     one route per mux.
 //
 // The hub is still protocol-oblivious where it matters: it never
 // interprets task payloads and forwards frames it cannot re-batch
-// untouched. It understands exactly two things — the hello handshake and
-// the msgBatch envelope.
+// untouched. It understands the hello handshake, the mux envelope and
+// credit frames, and the msgBatch envelope.
 
 import (
 	"errors"
@@ -64,7 +70,6 @@ const defaultBindTimeout = 10 * time.Second
 
 // brokerConfig collects NewBrokerHub options.
 type brokerConfig struct {
-	batching     bool
 	bindTimeout  time.Duration
 	creditWindow int64
 }
@@ -74,26 +79,15 @@ type BrokerOption interface {
 	applyBroker(*brokerConfig)
 }
 
-type relayBatchingOption bool
-
-func (o relayBatchingOption) applyBroker(c *brokerConfig) { c.batching = bool(o) }
-
-// WithRelayBatching toggles relay-hop batching (default on): when enabled,
-// msgBatch frames queued for the same downstream link are merged into one
-// larger batch frame before forwarding, so bursts pay the downstream send
-// cost once. Off, the hub forwards frame for frame like the original
-// oblivious relay.
-func WithRelayBatching(on bool) BrokerOption { return relayBatchingOption(on) }
-
 type bindTimeoutOption time.Duration
 
 func (o bindTimeoutOption) applyBroker(c *brokerConfig) { c.bindTimeout = time.Duration(o) }
 
-// WithBindTimeout bounds how long a supervisor link waits for its named
-// worker to register, and how long any attached link may take to send its
-// hello (default 10s for both). A timed-out bind or handshake closes the
-// link, which the peer's session layer treats like any other dead
-// connection.
+// WithBindTimeout bounds how long a route waits for its named worker to
+// register, and how long any attached link may take to send its hello
+// (default 10s for both). A timed-out handshake closes the link and a
+// timed-out bind closes the route, which the peer's session layer treats
+// like any other dead connection.
 func WithBindTimeout(d time.Duration) BrokerOption { return bindTimeoutOption(d) }
 
 // LinkOption configures both endpoints of a multiplexed hub link: it is
@@ -148,16 +142,15 @@ func WithRouteCreditWindow(n int64) LinkOption { return routeCreditWindowOption(
 
 // RouteDirectionStats counts one direction of a worker's relayed traffic.
 // Ingress is measured as frames arrive at the hub on the direction's source
-// link; egress as frames leave it, after any relay-hop re-batching — with
-// batching on, egress carries the same tagged payload in fewer, larger
-// frames. Corrupt frames are attributed to the direction whose source link
-// they arrived on. On a multiplexed supervisor link the supervisor-side
-// measurements are denominated in inner frame sizes (what the frame would
-// have cost on a dedicated link): ToWorker ingress and ToSupervisor egress
-// count inner frames, while the worker-link side still counts physical
-// frames, so per-route numbers stay comparable across link kinds and the
-// shared-envelope framing difference is carried by the hub's signed mux
-// overhead ledgers instead.
+// link; egress as frames leave it, after any relay-hop re-batching, so
+// egress may carry the same tagged payload in fewer, larger frames. The
+// supervisor-side measurements are denominated in inner frame sizes (the
+// route's frames as they sit inside mux envelopes): ToWorker ingress and
+// ToSupervisor egress count inner frames, while the worker-link side counts
+// physical frames; the shared-envelope framing difference is carried by the
+// hub's signed mux overhead ledgers instead. Corrupt frames are counted per
+// worker only on the worker link (ToSupervisor); a corrupt supervisor-link
+// frame cannot be attributed to a route and lands in MuxCorruptFrames.
 type RouteDirectionStats struct {
 	IngressMsgs, IngressBytes   int64
 	EgressMsgs, EgressBytes     int64
@@ -165,44 +158,42 @@ type RouteDirectionStats struct {
 }
 
 // RouteStats aggregates one worker identity's relay traffic across every
-// route the hub ever bound for it (redials included). For dedicated
-// (non-muxed) links the counters reconcile exactly with the hub-side
-// endpoint counters per link side:
+// route the hub ever bound for it (redials included). The counters
+// reconcile exactly with the hub-side endpoint counters. On the worker
+// side, per worker:
 //
-//	supervisor-facing endpoint bytes received ==
-//	    SupervisorHelloBytes + ToWorker ingress + ToWorker corrupt bytes
 //	worker-facing endpoint bytes received ==
 //	    WorkerHelloBytes + ToSupervisor ingress + ToSupervisor corrupt bytes
-//	each side's endpoint bytes sent == the direction's egress bytes
+//	worker-facing endpoint bytes sent == ToWorker egress bytes
 //
-// On a muxed supervisor link the per-worker counters cover the inner
-// frames and the open/close handshakes; the physical link's remaining
-// bytes are the hub's link-level ledgers, so for a hub whose supervisor
-// traffic all rides muxed links:
+// On the supervisor side the per-worker counters cover the inner frames and
+// the route open/close handshakes; the physical links' remaining bytes are
+// the hub's link-level ledgers, summed over every supervisor link:
 //
-//	muxed endpoint bytes received at the hub ==
+//	supervisor endpoint bytes received at the hub ==
 //	    MuxHelloBytes + Σ SupervisorHelloBytes + Σ ToWorker ingress
 //	    + MuxOverheadIngressBytes + OrphanedBytes + MuxCorruptBytes
 //	    + ControlIngressBytes
-//	muxed endpoint bytes sent by the hub ==
+//	supervisor endpoint bytes sent by the hub ==
 //	    Σ ToSupervisor egress + MuxOverheadEgressBytes + ControlBytes
 type RouteStats struct {
 	// Worker is the identity the counters are keyed by.
 	Worker string
-	// Binds counts supervisor links bound to this worker.
+	// Binds counts routes bound to this worker.
 	Binds int64
-	// WorkerHelloBytes and SupervisorHelloBytes count handshake frames the
-	// hub consumed on this worker's links (never relayed).
+	// WorkerHelloBytes counts the worker links' registration hellos;
+	// SupervisorHelloBytes the route open/close hellos naming this worker
+	// on supervisor links. The hub consumes both (never relayed).
 	WorkerHelloBytes, SupervisorHelloBytes int64
 	// CorruptFrames and CorruptBytes total the frames that failed the
-	// transport CRC crossing the relay, both directions; each one
-	// quarantined its route. Per-side counts live in the directions.
+	// transport CRC on this worker's links; each one quarantined its route.
+	// Per-side counts live in the directions.
 	CorruptFrames, CorruptBytes int64
 	// ToWorker covers supervisor→participant relaying, ToSupervisor the
 	// reverse direction.
 	ToWorker, ToSupervisor RouteDirectionStats
 	// ToWorkerGrantedBytes totals the credit the hub granted back to the
-	// supervisor for this worker's ToWorker direction on muxed links;
+	// supervisor for this worker's ToWorker direction;
 	// ToWorkerWindowBytes is the adaptive window target the latest grant
 	// advertised. The grant ledger reconciles per live route as
 	// initial window + granted == ToWorker ingress + outstanding.
@@ -243,9 +234,9 @@ type workerCounters struct {
 	supervisorHelloBytes atomic.Int64
 	toWorker             dirCounters
 	toSupervisor         dirCounters
-	// Credit flow-control ledgers, muxed links only: cumulative grant
-	// bytes per direction, latest advertised window per direction (gauges),
-	// and ready-ring parks for lack of supervisor credit.
+	// Credit flow-control ledgers: cumulative grant bytes per direction,
+	// latest advertised window per direction (gauges), and ready-ring parks
+	// for lack of supervisor credit.
 	toWorkerGranted atomic.Int64
 	toWorkerWindow  atomic.Int64
 	toSupGranted    atomic.Int64
@@ -256,10 +247,10 @@ type workerCounters struct {
 // BrokerHub is the session-aware GRACE broker: an identity-routed relay
 // multiplexing any number of supervisor↔worker routes, with relay-hop
 // batching and per-route exact byte accounting. Attach links with Attach
-// after their first frame (sent by HelloWorker / HelloSupervisor /
-// OpenMux) names their role and worker. A muxed supervisor link carries
+// after their first frame names their role: HelloWorker registers a
+// participant, OpenMux opens a supervisor link. A supervisor link carries
 // any number of routes over one physical connection; the hub runs one
-// reader and one writer goroutine per physical link, never per route.
+// reader and one writer goroutine per supervisor link, never per route.
 type BrokerHub struct {
 	cfg brokerConfig
 
@@ -275,12 +266,12 @@ type BrokerHub struct {
 	evictedLinks atomic.Int64
 	evictedBytes atomic.Int64
 
-	// Mux-link ledgers. Data relayed on muxed links is attributed to
-	// per-worker counters in inner frame sizes; everything else about the
-	// shared physical link lands here so the endpoint byte counters still
-	// reconcile exactly (see RouteStats).
-	muxLinks      atomic.Int64 // muxed supervisor links ever attached
-	routesOpened  atomic.Int64 // routes ever opened on muxed links
+	// Supervisor-link ledgers. Data relayed on supervisor links is
+	// attributed to per-worker counters in inner frame sizes; everything
+	// else about the shared physical link lands here so the endpoint byte
+	// counters still reconcile exactly (see RouteStats).
+	muxLinks      atomic.Int64 // supervisor links ever attached
+	routesOpened  atomic.Int64 // routes ever opened on supervisor links
 	muxHelloBytes atomic.Int64 // mux-attach handshake frames consumed
 	// ctrlMsgs/ctrlBytes count hub-originated control frames on muxed
 	// links: credit grants and close notices. Never part of RelayedBytes.
@@ -318,9 +309,9 @@ type BrokerHub struct {
 	pumps        sync.WaitGroup
 }
 
-// NewBrokerHub creates an empty hub with relay-hop batching enabled.
+// NewBrokerHub creates an empty hub.
 func NewBrokerHub(opts ...BrokerOption) *BrokerHub {
-	cfg := brokerConfig{batching: true, bindTimeout: defaultBindTimeout, creditWindow: defaultCreditWindowBytes}
+	cfg := brokerConfig{bindTimeout: defaultBindTimeout, creditWindow: defaultCreditWindowBytes}
 	for _, opt := range opts {
 		opt.applyBroker(&cfg)
 	}
@@ -338,13 +329,6 @@ func NewBrokerHub(opts ...BrokerOption) *BrokerHub {
 // hub's endpoint to Attach.
 func HelloWorker(conn transport.Conn, worker string) error {
 	return sendHello(conn, helloMsg{Role: helloRoleWorker, Worker: worker})
-}
-
-// HelloSupervisor asks the hub to route the link to the named registered
-// worker: send it on the supervisor's endpoint before opening the exchange
-// or session, then hand the hub's endpoint to Attach.
-func HelloSupervisor(conn transport.Conn, worker string) error {
-	return sendHello(conn, helloMsg{Role: helloRoleSupervisor, Worker: worker})
 }
 
 func sendHello(conn transport.Conn, m helloMsg) error {
@@ -366,8 +350,8 @@ func sendHello(conn transport.Conn, m helloMsg) error {
 func (h *BrokerHub) RelayedMessages() int64 { return h.relayedMsgs.Load() }
 
 // RelayedBytes reports the forwarded traffic volume (egress frame bytes,
-// headers included). It equals the sum of the hub-side endpoints' sent-byte
-// counters exactly.
+// headers included). Together with ControlBytes it equals the sum of the
+// hub-side endpoints' sent-byte counters exactly.
 func (h *BrokerHub) RelayedBytes() int64 { return h.relayedBytes.Load() }
 
 // RejectedHandshakes reports how many attached links the hub refused at the
@@ -422,11 +406,9 @@ func (h *BrokerHub) CreditWindowBytes() int64 {
 	var sum int64
 	for _, l := range links {
 		l.mu.Lock()
-		if l.muxed {
-			for _, r := range l.routes {
-				if r.state != routeDead {
-					sum += r.toWorkerCredit.win
-				}
+		for _, r := range l.routes {
+			if r.state != routeDead {
+				sum += r.toWorkerCredit.win
 			}
 		}
 		l.mu.Unlock()
@@ -520,14 +502,14 @@ func (h *BrokerHub) countersFor(worker string) *workerCounters {
 }
 
 // Attach hands one freshly dialed link to the hub. The link's first frame
-// must be a msgHello (HelloWorker / HelloSupervisor): worker links are
-// registered under their identity and served once a supervisor binds them;
-// supervisor links are bound to their named worker's registration — waiting
-// up to the bind timeout for it — on a background goroutine, so Attach
-// blocks only to read the hello frame (itself bounded by the bind timeout),
-// never for a bind or a route's lifetime: an accept loop may call it
-// synchronously per connection. A link whose handshake or bind is refused
-// is closed, which is how the failure surfaces to the dialing peer.
+// must be a msgHello: worker links (HelloWorker) are registered under their
+// identity and served once a route binds them; supervisor links (OpenMux)
+// start their reader and writer, and each route opened on them is bound to
+// its named worker's registration when one arrives, up to the bind timeout.
+// Attach blocks only to read the hello frame (itself bounded by the bind
+// timeout), never for a bind or a route's lifetime: an accept loop may call
+// it synchronously per connection. A link whose handshake is refused is
+// closed, which is how the failure surfaces to the dialing peer.
 //
 //gridlint:credit accept boundary: hello and rejected-link bytes are only observable here
 func (h *BrokerHub) Attach(conn transport.Conn) error {
@@ -576,20 +558,12 @@ func (h *BrokerHub) Attach(conn transport.Conn) error {
 		}
 		wc.workerHelloBytes.Add(arrived)
 		return h.registerWorker(hello.Worker, conn)
-	case helloRoleSupervisor:
-		wc := h.countersFor(hello.Worker)
-		if wc == nil {
-			return reject(fmt.Errorf("%w: hub is at its %d-identity capacity; refusing new worker %q",
-				ErrBadConfig, maxBrokerIdentities, hello.Worker))
-		}
-		wc.supervisorHelloBytes.Add(arrived)
-		return h.attachSupervisorLink(conn, hello.Worker, wc, false)
 	case helloRoleMux:
 		// Mux labels name a supervisor, not a worker: they get link-level
 		// accounting, not a slot in the per-worker identity registry.
 		h.muxHelloBytes.Add(arrived)
 		h.muxLinks.Add(1)
-		return h.attachSupervisorLink(conn, hello.Worker, nil, true)
+		return h.attachSupervisorLink(conn)
 	default:
 		// Open/close hellos are only meaningful on an attached muxed link.
 		return reject(fmt.Errorf("%w: hello role %d cannot open a link",
@@ -711,11 +685,6 @@ func (h *BrokerHub) monitorWorker(worker string, v *vettedWorkerConn) {
 // route's hub memory instead of the whole link's.
 const defaultCreditWindowBytes int64 = 256 << 10
 
-// legacyRouteQueueBytes bounds the supervisor→worker queue of a dedicated
-// (non-muxed) supervisor link, where backpressure is applied by blocking
-// the link reader instead of by credits.
-var legacyRouteQueueBytes int64 = 1 << 20
-
 // toWorkerQueueBytes bounds the worker→supervisor queue of any route; a
 // full queue blocks the worker-link reader, which is the natural
 // backpressure toward the (clean, LAN-side) participant leg.
@@ -783,19 +752,16 @@ func (q *frameQ) drop() {
 	q.discard = true
 }
 
-// supLink is one physical supervisor↔hub connection: a dedicated link
-// carrying exactly one route (the pre-mux wire protocol, preserved
-// bit-for-bit), or a muxed link carrying any number of routes inside
-// msgRouted envelopes. Each link runs exactly two goroutines — readLoop
-// and writeLoop — regardless of route count.
+// supLink is one physical supervisor↔hub connection, carrying any number
+// of routes inside msgRouted envelopes. Each link runs exactly two
+// goroutines — readLoop and writeLoop — regardless of route count.
 type supLink struct {
-	hub   *BrokerHub
-	conn  transport.Conn
-	muxed bool
+	hub  *BrokerHub
+	conn transport.Conn
 
 	mu   sync.Mutex
 	cond *sync.Cond // wakes writeLoop: data queued, control queued, stop
-	// routes holds live routes by ID (a dedicated link uses ID 0).
+	// routes holds live routes by ID.
 	routes map[uint64]*hubRoute
 	// ready is the round-robin drain order: routes with queued
 	// supervisor-bound frames, each present at most once (inReady).
@@ -804,8 +770,8 @@ type supLink struct {
 	// sent ahead of data.
 	ctrl []transport.Message
 	// failed: the link is quarantined — all queues dropped, no more sends.
-	// stopWriter: writeLoop exits once set (set by failure, clean shutdown,
-	// and dedicated-link completion).
+	// stopWriter: writeLoop exits once set (set by failure and clean
+	// shutdown).
 	failed     bool
 	stopWriter bool
 }
@@ -829,15 +795,15 @@ type hubRoute struct {
 	state     int
 	bindTimer *time.Timer
 	inReady   bool
-	// noticeDue/noticeSent sequence the hub→supervisor close notice on a
-	// muxed link: due once the worker side ended while the supervisor side
-	// is still alive, sent after toSup drains.
+	// noticeDue/noticeSent sequence the hub→supervisor close notice: due
+	// once the worker side ended while the supervisor side is still alive,
+	// sent after toSup drains.
 	noticeDue  bool
 	noticeSent bool
 	// toWorkerCredit is the receiver-side ledger of the supervisor→worker
-	// direction on a muxed link: the hub extends credit to the supervisor
-	// and grants more as the worker-side writer drains toWorker, sizing
-	// the window adaptively from the observed drain rate.
+	// direction: the hub extends credit to the supervisor and grants more
+	// as the worker-side writer drains toWorker, sizing the window
+	// adaptively from the observed drain rate.
 	toWorkerCredit creditLedger
 	// supCredit is the hub's send budget on the worker→supervisor
 	// direction, granted by the SupervisorMux as the route's consumer
@@ -853,10 +819,9 @@ type hubRoute struct {
 }
 
 // attachSupervisorLink starts the link loops for a freshly helloed
-// supervisor connection. A dedicated link opens its single route
-// immediately; a muxed link waits for open hellos.
-func (h *BrokerHub) attachSupervisorLink(conn transport.Conn, worker string, wc *workerCounters, muxed bool) error {
-	l := &supLink{hub: h, conn: conn, muxed: muxed, routes: make(map[uint64]*hubRoute)}
+// supervisor connection; routes arrive later as open hellos.
+func (h *BrokerHub) attachSupervisorLink(conn transport.Conn) error {
+	l := &supLink{hub: h, conn: conn, routes: make(map[uint64]*hubRoute)}
 	l.cond = sync.NewCond(&l.mu)
 	h.mu.Lock()
 	if h.closed {
@@ -867,31 +832,22 @@ func (h *BrokerHub) attachSupervisorLink(conn transport.Conn, worker string, wc 
 	h.links[l] = struct{}{}
 	h.pumps.Add(2)
 	h.mu.Unlock()
-	if !muxed {
-		r := l.newRouteLocked(0, worker, wc)
-		l.mu.Lock()
-		l.routes[0] = r
-		l.mu.Unlock()
-		h.scheduleBind(r)
-	}
 	go l.readLoop()
 	go l.writeLoop()
 	return nil
 }
 
 // newRouteLocked builds a pending route (callers insert it into l.routes).
-// On a muxed link both credit directions start at the adaptive floor: the
-// hub extends initialCreditWindow to the supervisor (toWorkerCredit) and
-// assumes the mux extended the same to it (supCredit) — which holds
-// because both endpoints must be configured with the same ceiling.
+// Both credit directions start at the adaptive floor: the hub extends
+// initialCreditWindow to the supervisor (toWorkerCredit) and assumes the
+// mux extended the same to it (supCredit) — which holds because both
+// endpoints must be configured with the same ceiling.
 func (l *supLink) newRouteLocked(id uint64, worker string, wc *workerCounters) *hubRoute {
 	r := &hubRoute{link: l, id: id, worker: worker, wc: wc, state: routePending}
 	r.wcond = sync.NewCond(&l.mu)
-	if l.muxed {
-		r.toWorkerCredit = newCreditLedger(l.hub.cfg.creditWindow)
-		r.supCredit = initialCreditWindow(l.hub.cfg.creditWindow)
-		r.supWindow = r.supCredit
-	}
+	r.toWorkerCredit = newCreditLedger(l.hub.cfg.creditWindow)
+	r.supCredit = initialCreditWindow(l.hub.cfg.creditWindow)
+	r.supWindow = r.supCredit
 	return r
 }
 
@@ -981,9 +937,8 @@ func (h *BrokerHub) returnWorker(worker string, conn transport.Conn) bool {
 // when the bind timeout fires, it is failed exactly like a refused bind.
 // Presence in pendingBinds is the claim arbiter — if matchPending already
 // popped the route, the timer is a no-op. The supervisor side of the link
-// is alive and well — only the bind expired — so a muxed route owes its
-// supervisor the close notice that tells its session the route is dead
-// (on a dedicated link the refusal closes the physical link instead).
+// is alive and well — only the bind expired — so the route owes its
+// supervisor the close notice that tells its session the route is dead.
 func (h *BrokerHub) bindExpired(r *hubRoute) {
 	h.mu.Lock()
 	if h.closed {
@@ -1050,15 +1005,10 @@ func (r *hubRoute) tryBind(conn transport.Conn) bool {
 }
 
 // fail quarantines one route: both queues dropped, the worker link closed,
-// a close notice queued for a muxed supervisor (supAlive) — and, on a
-// dedicated link, the whole link failed, because there the route IS the
-// link. The hub and every other route keep running.
+// and a close notice queued for the supervisor (supAlive). The hub, the
+// supervisor link and every other route keep running.
 func (r *hubRoute) fail(supAlive bool) {
 	l := r.link
-	if !l.muxed {
-		l.fail()
-		return
-	}
 	l.mu.Lock()
 	if r.state == routeDead {
 		l.mu.Unlock()
@@ -1091,10 +1041,10 @@ func (r *hubRoute) teardownLocked() {
 	r.link.cond.Broadcast()
 }
 
-// queueNoticeLocked queues the hub→supervisor close notice for a route on
-// a muxed link and finalizes the route: everything the worker sent has been
-// relayed, so from here on the route's ID is retired and late entries
-// addressed to it are orphans.
+// queueNoticeLocked queues the hub→supervisor close notice for a route and
+// finalizes the route: everything the worker sent has been relayed, so from
+// here on the route's ID is retired and late entries addressed to it are
+// orphans.
 func (l *supLink) queueNoticeLocked(r *hubRoute) {
 	r.noticeSent = true
 	r.noticeDue = false
@@ -1125,10 +1075,9 @@ func (r *hubRoute) loopDone() {
 }
 
 // fail quarantines the whole physical link: every route is torn down and
-// every endpoint closed. Dedicated links land here for any route fault
-// (preserving the pre-mux semantics); muxed links land here for faults
-// that cannot be attributed to a single route — a corrupt frame on the
-// shared link, a protocol violation, or a dead physical connection.
+// every endpoint closed. Links land here for faults that cannot be
+// attributed to a single route — a corrupt frame on the shared link, a
+// protocol violation, or a dead physical connection.
 func (l *supLink) fail() {
 	l.mu.Lock()
 	if l.failed {
@@ -1227,10 +1176,10 @@ func (h *BrokerHub) dropLink(l *supLink) {
 }
 
 // readLoop is the physical link's only reader: it ingests every frame the
-// supervisor endpoint sends — raw route traffic on a dedicated link, mux
-// envelopes and open/close hellos on a muxed one — and parks frames on
-// per-route queues. It never blocks on a muxed route's queue (credits
-// bound those), so one slow worker cannot head-of-line-block the link.
+// supervisor endpoint sends — mux envelopes, open/close hellos and credit
+// grants — and parks frames on per-route queues. It never blocks on a
+// route's queue (credits bound those), so one slow worker cannot
+// head-of-line-block the link.
 //
 //gridlint:credit relay ingress, handshake, orphan, and corrupt-frame bytes are credited as they leave the source link
 func (l *supLink) readLoop() {
@@ -1248,34 +1197,15 @@ func (l *supLink) readLoop() {
 			case errors.Is(err, io.EOF), errors.Is(err, transport.ErrClosed):
 				l.cleanShutdown()
 			case errors.Is(err, transport.ErrFrameCorrupt):
-				if l.muxed {
-					// Unattributable link damage: no route tag survived, so
-					// the whole physical link is quarantined.
-					h.muxCorruptFrames.Add(1)
-					h.muxCorruptBytes.Add(arrived)
-				} else if r := l.soleRoute(); r != nil && r.wc != nil {
-					r.wc.toWorker.corruptFrames.Add(1)
-					r.wc.toWorker.corruptBytes.Add(arrived)
-				}
+				// Unattributable link damage: no route tag survived, so the
+				// whole physical link is quarantined.
+				h.muxCorruptFrames.Add(1)
+				h.muxCorruptBytes.Add(arrived)
 				l.fail()
 			default:
 				l.fail()
 			}
 			return
-		}
-		if !l.muxed {
-			r := l.soleRoute()
-			if r == nil {
-				return // link already torn down
-			}
-			if r.wc != nil {
-				r.wc.toWorker.ingressMsgs.Add(1)
-				r.wc.toWorker.ingressBytes.Add(msg.FrameSize())
-			}
-			if !l.putToWorkerBlocking(r, msg) {
-				return
-			}
-			continue
 		}
 		switch msg.Type {
 		case msgRouted:
@@ -1291,41 +1221,18 @@ func (l *supLink) readLoop() {
 				return
 			}
 		default:
-			// Raw data frames are not valid on a muxed link.
+			// Raw data frames are not valid on a supervisor link.
 			l.fail()
 			return
 		}
 	}
 }
 
-// soleRoute returns a dedicated link's single route, if still present.
-func (l *supLink) soleRoute() *hubRoute {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.routes[0]
-}
-
-// putToWorkerBlocking queues one supervisor frame on a dedicated link's
-// route, blocking (backpressure on the physical link) while the queue is
-// over its bound. Reports false when the link is done.
-func (l *supLink) putToWorkerBlocking(r *hubRoute, msg transport.Message) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for r.toWorker.bytes >= legacyRouteQueueBytes && !r.toWorker.closed && !r.toWorker.discard && !l.failed {
-		r.wcond.Wait()
-	}
-	if !r.toWorker.put(msg) {
-		return false
-	}
-	r.wcond.Broadcast()
-	return true
-}
-
-// applyRouteGrant ingests a supervisor→hub credit grant on a muxed link:
-// the mux returns credit as a route's consumer drains its inbox, and the
-// hub spends it in gatherEnvelopeLocked. A stalled route re-enters the
-// ready ring here. Reports false when the grant was malformed or
-// overflowing and the link failed.
+// applyRouteGrant ingests a supervisor→hub credit grant: the mux returns
+// credit as a route's consumer drains its inbox, and the hub spends it in
+// gatherEnvelopeLocked. A stalled route re-enters the ready ring here.
+// Reports false when the grant was malformed or overflowing and the link
+// failed.
 //
 //gridlint:credit control ingress and per-route grant ledgers are only observable at the link reader
 func (l *supLink) applyRouteGrant(msg transport.Message, arrived int64) bool {
@@ -1418,7 +1325,7 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 	return true
 }
 
-// handleHello processes an open or close hello on a muxed link. Reports
+// handleHello processes an open or close hello on a supervisor link. Reports
 // false when the hello was invalid and the link failed.
 //
 //gridlint:credit route handshake bytes are only observable at the link reader
@@ -1496,8 +1403,7 @@ func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
 		l.mu.Unlock()
 		return true
 	default:
-		// worker/supervisor/mux hellos are link-opening frames, invalid
-		// mid-link.
+		// worker and mux hellos are link-opening frames, invalid mid-link.
 		h.muxOverheadIn.Add(arrived)
 		l.fail()
 		return false
@@ -1507,8 +1413,8 @@ func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
 // writeLoop is the physical link's only writer. Control frames (credits,
 // close notices) go first; then data is drained route by route in rotating
 // round-robin order, with consecutive batch frames of the same route
-// coalesced and — on a muxed link — units from several routes packed into
-// one envelope, so re-batching spans workers, not just tasks.
+// coalesced and units from several routes packed into one envelope, so
+// re-batching spans workers, not just tasks.
 //
 //gridlint:credit relay egress, control, and envelope-overhead bytes are credited after the onward send succeeds
 func (l *supLink) writeLoop() {
@@ -1523,81 +1429,39 @@ func (l *supLink) writeLoop() {
 			l.mu.Unlock()
 			return
 		}
-		var out transport.Message
-		var isCtrl, finishLink bool
-		var egress []routeEgress
-		switch {
-		case len(l.ctrl) > 0:
-			out = l.ctrl[0]
+		if len(l.ctrl) > 0 {
+			out := l.ctrl[0]
 			l.ctrl = l.ctrl[1:]
-			isCtrl = true
-		case !l.muxed:
-			r := l.ready[0]
-			unit, ok, last := l.popUnitLocked(r)
-			if !ok {
-				// A dedicated link is done once its single route's worker
-				// side ended cleanly and the queue is fully drained — which
-				// can be observed on an empty pop when the worker closed
-				// without ever sending.
-				if last {
-					l.stopWriter = true
-					l.mu.Unlock()
-					_ = l.conn.Close()
-					return
-				}
-				l.mu.Unlock()
-				continue
+			l.mu.Unlock()
+			if err := l.conn.Send(out); err != nil {
+				l.fail()
+				return
 			}
-			out = unit
-			egress = []routeEgress{{r: r, inner: out.FrameSize()}}
-			finishLink = last
-		default:
-			entries, acct := l.gatherEnvelopeLocked()
-			if len(entries) == 0 {
-				l.mu.Unlock()
-				continue
-			}
-			out = transport.Message{Type: msgRouted, Payload: encodeRouted(entries)}
-			egress = acct
+			h.ctrlMsgs.Add(1)
+			h.ctrlBytes.Add(out.FrameSize())
+			continue
 		}
+		entries, egress := l.gatherEnvelopeLocked()
 		l.mu.Unlock()
+		if len(entries) == 0 {
+			continue
+		}
+		out := transport.Message{Type: msgRouted, Payload: encodeRouted(entries)}
 		if err := l.conn.Send(out); err != nil {
 			l.fail()
 			return
 		}
-		switch {
-		case isCtrl:
-			h.ctrlMsgs.Add(1)
-			h.ctrlBytes.Add(out.FrameSize())
-		case !l.muxed:
-			for _, e := range egress {
-				if e.r.wc != nil {
-					e.r.wc.toSupervisor.egressMsgs.Add(1)
-					e.r.wc.toSupervisor.egressBytes.Add(e.inner)
-				}
+		var inner int64
+		for _, e := range egress {
+			inner += e.inner
+			if e.r.wc != nil {
+				e.r.wc.toSupervisor.egressMsgs.Add(1)
+				e.r.wc.toSupervisor.egressBytes.Add(e.inner)
 			}
-			h.relayedMsgs.Add(1)
-			h.relayedBytes.Add(out.FrameSize())
-		default:
-			var inner int64
-			for _, e := range egress {
-				inner += e.inner
-				if e.r.wc != nil {
-					e.r.wc.toSupervisor.egressMsgs.Add(1)
-					e.r.wc.toSupervisor.egressBytes.Add(e.inner)
-				}
-			}
-			h.relayedMsgs.Add(1)
-			h.relayedBytes.Add(out.FrameSize())
-			h.muxOverheadOut.Add(out.FrameSize() - inner)
 		}
-		if finishLink {
-			l.mu.Lock()
-			l.stopWriter = true
-			l.mu.Unlock()
-			_ = l.conn.Close()
-			return
-		}
+		h.relayedMsgs.Add(1)
+		h.relayedBytes.Add(out.FrameSize())
+		h.muxOverheadOut.Add(out.FrameSize() - inner)
 	}
 }
 
@@ -1608,41 +1472,30 @@ type routeEgress struct {
 }
 
 // popUnitLocked pops the head route's next supervisor-bound unit, merging
-// consecutive queued msgBatch frames when relay batching is on. Reports
-// whether a unit was produced and — for dedicated links — whether it was
-// the route's final frame (worker side cleanly ended, queue drained).
-func (l *supLink) popUnitLocked(r *hubRoute) (transport.Message, bool, bool) {
+// consecutive queued msgBatch frames. Reports whether a unit was produced.
+func (l *supLink) popUnitLocked(r *hubRoute) (transport.Message, bool) {
 	l.dequeueReadyLocked(r)
 	first, ok := r.toSup.pop()
 	if !ok {
 		l.routeDrainedLocked(r)
-		return transport.Message{}, false, l.legacyFinishedLocked(r)
+		return transport.Message{}, false
 	}
-	out := first
-	if l.hub.cfg.batching && first.Type == msgBatch && !r.toSup.empty() {
-		out = l.coalesceLocked(r, first)
-	}
+	out := coalesceBatches(&r.toSup, first, muxInnerPayloadCap)
 	if !r.toSup.empty() {
 		l.enqueueReadyLocked(r)
 	} else {
 		l.routeDrainedLocked(r)
 	}
 	r.wcond.Broadcast() // capacity waiters on toSup
-	return out, true, l.legacyFinishedLocked(r)
+	return out, true
 }
 
-// routeDrainedLocked runs the drained-queue transitions: emit a due close
-// notice (muxed) once everything the worker sent has been relayed.
+// routeDrainedLocked runs the drained-queue transition: emit a due close
+// notice once everything the worker sent has been relayed.
 func (l *supLink) routeDrainedLocked(r *hubRoute) {
-	if l.muxed && r.noticeDue && !r.noticeSent && r.toSup.closed && r.toSup.empty() {
+	if r.noticeDue && !r.noticeSent && r.toSup.closed && r.toSup.empty() {
 		l.queueNoticeLocked(r)
 	}
-}
-
-// legacyFinishedLocked reports whether a dedicated link has relayed its
-// route's final supervisor-bound frame.
-func (l *supLink) legacyFinishedLocked(r *hubRoute) bool {
-	return !l.muxed && r.toSup.closed && r.toSup.empty() && !r.toSup.discard
 }
 
 // gatherEnvelopeLocked packs units from the ready routes, round-robin, into
@@ -1668,7 +1521,7 @@ func (l *supLink) gatherEnvelopeLocked() ([]routedEntry, []routeEgress) {
 			}
 			continue
 		}
-		unit, ok, _ := l.popUnitLocked(r)
+		unit, ok := l.popUnitLocked(r)
 		if !ok {
 			continue
 		}
@@ -1698,12 +1551,16 @@ func (l *supLink) dequeueReadyLocked(r *hubRoute) {
 	}
 }
 
-// coalesceLocked greedily merges batch frames queued behind first into one
-// larger batch frame, stopping at the session layer's frame caps, at the
-// first non-mergeable frame (left queued to preserve order), or when the
-// queue runs dry. Frames the hub cannot decode are forwarded untouched —
-// the hub is a relay, not a validator; the endpoint rules on them.
-func (l *supLink) coalesceLocked(r *hubRoute, first transport.Message) transport.Message {
+// coalesceBatches greedily merges the batch frames queued on q behind
+// first (already popped) into one larger batch frame, stopping at the
+// session layer's frame caps, at limit payload bytes, at the first
+// non-mergeable frame (left queued to preserve order), or when the queue
+// runs dry. Frames the hub cannot decode are forwarded untouched — the hub
+// is a relay, not a validator; the endpoint rules on them.
+func coalesceBatches(q *frameQ, first transport.Message, limit int64) transport.Message {
+	if first.Type != msgBatch || q.empty() {
+		return first
+	}
 	msgs, err := decodeBatch(first.Payload)
 	if err != nil {
 		return first
@@ -1712,13 +1569,9 @@ func (l *supLink) coalesceLocked(r *hubRoute, first transport.Message) transport
 	for _, tm := range msgs {
 		size += tm.wireSize()
 	}
-	limit := int64(maxBatchPayload)
-	if l.muxed && limit > muxInnerPayloadCap {
-		limit = muxInnerPayloadCap
-	}
 	merged := false
 	for size < batchTargetBytes && len(msgs) < maxBatchMsgs {
-		next, ok := r.toSup.peek()
+		next, ok := q.peek()
 		if !ok || next.Type != msgBatch {
 			break
 		}
@@ -1733,7 +1586,7 @@ func (l *supLink) coalesceLocked(r *hubRoute, first transport.Message) transport
 		if size+moreSize > limit || len(msgs)+len(more) > maxBatchMsgs {
 			break
 		}
-		r.toSup.pop()
+		q.pop()
 		msgs = append(msgs, more...)
 		size += moreSize
 		merged = true
@@ -1795,9 +1648,7 @@ func (r *hubRoute) workerReadLoop() {
 }
 
 // workerSideClosed handles the participant ending its link cleanly: the
-// supervisor-bound queue drains, then — on a muxed link — the supervisor
-// gets a close notice; a dedicated link closes its supervisor conn after
-// the drain (writeLoop's finishLink), exactly the pre-mux semantics.
+// supervisor-bound queue drains, then the supervisor gets a close notice.
 func (r *hubRoute) workerSideClosed() {
 	l := r.link
 	l.mu.Lock()
@@ -1822,11 +1673,6 @@ func (r *hubRoute) workerSideClosed() {
 	} else {
 		r.noticeDue = true
 		l.routeDrainedLocked(r)
-		if !l.muxed {
-			// Wake the link writer even with an empty queue so it can
-			// observe the drained-and-closed route and finish the link.
-			l.enqueueReadyLocked(r)
-		}
 	}
 	r.wcond.Broadcast()
 	l.cond.Broadcast()
@@ -1838,7 +1684,8 @@ func (r *hubRoute) workerSideClosed() {
 
 // workerWriteLoop is the worker link's writer for one bound route: it
 // drains the route's supervisor→worker queue, coalescing consecutive batch
-// frames, and grants credit back (muxed links) as bytes leave the queue.
+// frames, and grants credit back to the supervisor as bytes leave the
+// queue.
 //
 //gridlint:credit relay egress toward the worker is credited after the onward send succeeds
 func (r *hubRoute) workerWriteLoop() {
@@ -1864,31 +1711,23 @@ func (r *hubRoute) workerWriteLoop() {
 			}
 			return
 		}
-		popped := first.FrameSize()
-		out := first
-		if h.cfg.batching && first.Type == msgBatch && !r.toWorker.empty() {
-			before := r.toWorker.bytes
-			out = l.coalesceToWorkerLocked(r, first)
-			popped += before - r.toWorker.bytes
-		}
-		if l.muxed {
-			r.toWorkerCredit.drain(popped)
-			if !l.failed && !l.stopWriter && !r.toWorker.closed {
-				if grant := r.toWorkerCredit.grantDue(r.toWorker.bytes); grant > 0 {
-					win := r.toWorkerCredit.win
-					if r.wc != nil {
-						r.wc.toWorkerGranted.Add(grant)
-						r.wc.toWorkerWindow.Store(win)
-					}
-					l.ctrl = append(l.ctrl, transport.Message{
-						Type:    msgCredit,
-						Payload: encodeCredit(creditMsg{Route: r.id, Bytes: uint64(grant), Window: uint64(win)}),
-					})
-					l.cond.Broadcast()
+		before := r.toWorker.bytes
+		out := coalesceBatches(&r.toWorker, first, maxBatchPayload)
+		r.toWorkerCredit.drain(first.FrameSize() + before - r.toWorker.bytes)
+		if !l.failed && !l.stopWriter && !r.toWorker.closed {
+			if grant := r.toWorkerCredit.grantDue(r.toWorker.bytes); grant > 0 {
+				win := r.toWorkerCredit.win
+				if r.wc != nil {
+					r.wc.toWorkerGranted.Add(grant)
+					r.wc.toWorkerWindow.Store(win)
 				}
+				l.ctrl = append(l.ctrl, transport.Message{
+					Type:    msgCredit,
+					Payload: encodeCredit(creditMsg{Route: r.id, Bytes: uint64(grant), Window: uint64(win)}),
+				})
+				l.cond.Broadcast()
 			}
 		}
-		r.wcond.Broadcast() // capacity waiters (dedicated-link reader)
 		l.mu.Unlock()
 		if err := r.down.Send(out); err != nil {
 			r.fail(true)
@@ -1901,45 +1740,6 @@ func (r *hubRoute) workerWriteLoop() {
 		h.relayedMsgs.Add(1)
 		h.relayedBytes.Add(out.FrameSize())
 	}
-}
-
-// coalesceToWorkerLocked merges consecutive queued batch frames bound for
-// the worker, the downstream mirror of coalesceLocked.
-func (l *supLink) coalesceToWorkerLocked(r *hubRoute, first transport.Message) transport.Message {
-	msgs, err := decodeBatch(first.Payload)
-	if err != nil {
-		return first
-	}
-	var size int64
-	for _, tm := range msgs {
-		size += tm.wireSize()
-	}
-	merged := false
-	for size < batchTargetBytes && len(msgs) < maxBatchMsgs {
-		next, ok := r.toWorker.peek()
-		if !ok || next.Type != msgBatch {
-			break
-		}
-		more, err := decodeBatch(next.Payload)
-		if err != nil {
-			break
-		}
-		var moreSize int64
-		for _, tm := range more {
-			moreSize += tm.wireSize()
-		}
-		if size+moreSize > maxBatchPayload || len(msgs)+len(more) > maxBatchMsgs {
-			break
-		}
-		r.toWorker.pop()
-		msgs = append(msgs, more...)
-		size += moreSize
-		merged = true
-	}
-	if !merged {
-		return first
-	}
-	return transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
 }
 
 // Close tears down every link, route, and registered worker and blocks

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,12 +11,17 @@ import (
 	"uncheatgrid/internal/transport"
 )
 
+// brokerTestLabel is the mux label every brokerTestWorker dial attaches
+// with, so the hub's mux-hello bytes are MuxLinks × one known frame size.
+const brokerTestLabel = "supervisor"
+
 // brokerTestWorker wires one participant to a hub the way a deployment
 // harness would: every dial registers a fresh worker link under the
-// participant's identity and opens a supervisor link whose hello names it.
-// The optional garble plan applies to the supervisor→hub leg only, so
-// corrupt frames surface at the hub — crossing the relay — rather than at
-// an endpoint.
+// participant's identity and opens a one-route supervisor mux whose route
+// names it, so a fault on the dial's supervisor link quarantines exactly
+// that route. The optional garble plan applies to the supervisor→hub leg
+// only, so corrupt frames surface at the hub — crossing the relay — rather
+// than at an endpoint.
 type brokerTestWorker struct {
 	t      *testing.T
 	name   string
@@ -26,7 +32,8 @@ type brokerTestWorker struct {
 
 	mu        sync.Mutex
 	dials     int
-	supConns  []transport.Conn
+	routes    []transport.Conn
+	muxes     []*SupervisorMux
 	partConns []transport.Conn
 	hubEnds   []transport.Conn
 	serveErrs []chan error
@@ -42,7 +49,9 @@ func newBrokerTestWorker(t *testing.T, hub *BrokerHub, name string, factory Prod
 }
 
 // dial opens one identity-routed path through the hub and returns the
-// supervisor-side endpoint. Safe to call from the stream's redial callback.
+// supervisor-side route. Safe to call from the stream's redial callback. A
+// dial whose mux cannot open its route yields a dead route, which the
+// session layer treats like any lost link.
 func (w *brokerTestWorker) dial() transport.Conn {
 	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
 	if err := HelloWorker(partConn, w.name); err != nil {
@@ -67,24 +76,35 @@ func (w *brokerTestWorker) dial() transport.Conn {
 		})
 	}
 	go func() { _ = w.hub.Attach(hubUp) }()
-	if err := HelloSupervisor(sup, w.name); err != nil {
-		w.t.Errorf("HelloSupervisor(%s): %v", w.name, err)
+	m, err := OpenMux(sup, brokerTestLabel)
+	if err != nil {
+		w.t.Errorf("OpenMux(%s): %v", w.name, err)
+	}
+	route := deadConn()
+	if m != nil {
+		if r, err := m.OpenRoute(w.name); err == nil {
+			route = r
+		}
 	}
 	w.mu.Lock()
-	w.supConns = append(w.supConns, sup)
+	w.routes = append(w.routes, route)
+	if m != nil {
+		w.muxes = append(w.muxes, m)
+	}
 	w.partConns = append(w.partConns, partConn)
 	w.hubEnds = append(w.hubEnds, hubDown, hubUp)
 	w.serveErrs = append(w.serveErrs, serveErr)
 	w.mu.Unlock()
-	return sup
+	return route
 }
 
 func (w *brokerTestWorker) shutdown() {
 	w.mu.Lock()
-	conns := append([]transport.Conn(nil), w.supConns...)
+	routes := append([]transport.Conn(nil), w.routes...)
+	muxes := append([]*SupervisorMux(nil), w.muxes...)
 	errs := append([]chan error(nil), w.serveErrs...)
 	w.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range routes {
 		_ = c.Close()
 	}
 	for _, ch := range errs {
@@ -92,11 +112,14 @@ func (w *brokerTestWorker) shutdown() {
 			w.t.Errorf("participant %s serve: %v", w.name, err)
 		}
 	}
+	for _, m := range muxes {
+		_ = m.Close()
+	}
 }
 
 // TestBrokerHubRoutesByIdentity pins the multiplexing contract: one hub
-// carries several supervisor↔worker routes at once, and each supervisor
-// link reaches exactly the worker its hello named — proven by personas
+// carries several supervisor↔worker routes at once, and each route reaches
+// exactly the worker it named — proven by personas
 // (the honest worker's task is accepted, the always-cheating worker's
 // rejected, over interactive CBS so both relay directions are exercised).
 func TestBrokerHubRoutesByIdentity(t *testing.T) {
@@ -132,7 +155,7 @@ func TestBrokerHubRoutesByIdentity(t *testing.T) {
 		t.Errorf("honest worker rejected: %s", outcomes[0].Verdict.Reason)
 	}
 	if outcomes[1].Verdict.Accepted {
-		t.Error("always-cheating worker accepted — supervisor link routed to the wrong worker?")
+		t.Error("always-cheating worker accepted — route bound to the wrong worker?")
 	}
 	for _, name := range []string{"honest", "cheat"} {
 		st, ok := hub.WorkerStats(name)
@@ -144,27 +167,33 @@ func TestBrokerHubRoutesByIdentity(t *testing.T) {
 	cheat.shutdown()
 }
 
-// TestBrokerUnknownWorkerBindTimesOut pins the bind contract: a supervisor
-// hello naming a worker that never registers is refused after the bind
-// timeout — Attach itself returns as soon as the hello is consumed (the
-// bind waits in the background), and the refusal surfaces to the dialing
-// peer as a closed link.
+// TestBrokerUnknownWorkerBindTimesOut pins the bind contract: a route
+// naming a worker that never registers is refused after the bind timeout —
+// Attach itself returns as soon as the mux hello is consumed (binds wait in
+// the background), and the refusal surfaces to the dialing peer as a
+// closed route.
 func TestBrokerUnknownWorkerBindTimesOut(t *testing.T) {
 	hub := NewBrokerHub(WithBindTimeout(50 * time.Millisecond))
 	defer hub.Close()
 	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "nobody"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
+	m, err := OpenMux(supConn, brokerTestLabel)
+	if err != nil {
+		t.Fatalf("OpenMux: %v", err)
 	}
+	defer m.Close()
 	start := time.Now()
 	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach must not report the background bind: %v", err)
+		t.Fatalf("Attach must not report a background bind: %v", err)
 	}
 	if waited := time.Since(start); waited > 40*time.Millisecond {
-		t.Errorf("Attach blocked %v for the bind; it must return after the hello", waited)
+		t.Errorf("Attach blocked %v; it must return after the hello", waited)
 	}
-	if _, err := supConn.Recv(); err == nil {
-		t.Fatal("refused supervisor link left open")
+	route, err := m.OpenRoute("nobody")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
+	}
+	if _, err := route.Recv(); err == nil {
+		t.Fatal("refused route left open")
 	}
 }
 
@@ -243,18 +272,17 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 	if err := hub.Attach(hubDown); err != nil {
 		t.Fatalf("Attach worker: %v", err)
 	}
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(16))
-	if err := HelloSupervisor(supConn, "w"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
+	m, _ := openTestMux(t, hub, brokerTestLabel)
+	defer m.Close()
+	route, err := m.OpenRoute("w")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
 	}
 
 	const frames = 8
 	for i := 0; i < frames; i++ {
 		payload := encodeBatch([]taggedMsg{{TaskID: uint64(i), Type: msgCommit, Payload: []byte{byte(i)}}})
-		if err := supConn.Send(transport.Message{Type: msgBatch, Payload: payload}); err != nil {
+		if err := route.Send(transport.Message{Type: msgBatch, Payload: payload}); err != nil {
 			t.Fatalf("send frame %d: %v", i, err)
 		}
 	}
@@ -285,7 +313,8 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 			t.Fatalf("message %d out of order or damaged: %+v", i, tm)
 		}
 	}
-	_ = supConn.Close()
+	_ = route.Close()
+	_ = m.Close()
 	_ = hub.Close()
 	st, _ := hub.WorkerStats("w")
 	if st.ToWorker.EgressMsgs >= st.ToWorker.IngressMsgs {
@@ -294,59 +323,73 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 }
 
 // TestBrokerDeliversQueuedFramesOnCleanClose pins the relay's delivery
-// guarantee: frames the hub accepted before a peer's clean close must
-// still reach the other endpoint (the direct transport drains queued
-// messages after a close, and the old synchronous relay never read ahead
-// of its sends), not be dropped with the route.
+// guarantee: frames the hub accepted before a clean close must still reach
+// the worker (the direct transport drains queued messages after a close,
+// and the old synchronous relay never read ahead of its sends), not be
+// dropped with the route. The supervisor may close cleanly at either
+// level: the route (a close hello) or the whole physical link.
 func TestBrokerDeliversQueuedFramesOnCleanClose(t *testing.T) {
-	hub := NewBrokerHub(WithRelayBatching(false))
-	defer hub.Close()
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(1))
-	if err := HelloWorker(partConn, "w"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
-	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker: %v", err)
-	}
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(16))
-	if err := HelloSupervisor(supConn, "w"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
-	}
+	for _, closeLink := range []bool{false, true} {
+		name := "route-close"
+		if closeLink {
+			name = "link-close"
+		}
+		t.Run(name, func(t *testing.T) {
+			hub := NewBrokerHub()
+			defer hub.Close()
+			hubDown, partConn := transport.Pipe(transport.WithBuffer(1))
+			if err := HelloWorker(partConn, "w"); err != nil {
+				t.Fatalf("HelloWorker: %v", err)
+			}
+			if err := hub.Attach(hubDown); err != nil {
+				t.Fatalf("Attach worker: %v", err)
+			}
+			m, _ := openTestMux(t, hub, brokerTestLabel)
+			defer m.Close()
+			route, err := m.OpenRoute("w")
+			if err != nil {
+				t.Fatalf("OpenRoute: %v", err)
+			}
 
-	const frames = 12
-	for i := 0; i < frames; i++ {
-		if err := supConn.Send(transport.Message{Type: msgVerdict, Payload: []byte{byte(i)}}); err != nil {
-			t.Fatalf("send frame %d: %v", i, err)
-		}
-	}
-	_ = supConn.Close() // clean close with most frames still queued at the hub
-	time.Sleep(50 * time.Millisecond)
+			const frames = 12
+			for i := 0; i < frames; i++ {
+				if err := route.Send(transport.Message{Type: msgVerdict, Payload: []byte{byte(i)}}); err != nil {
+					t.Fatalf("send frame %d: %v", i, err)
+				}
+			}
+			// Clean close with most frames still queued at the hub.
+			if closeLink {
+				_ = m.Close()
+			} else {
+				_ = route.Close()
+			}
+			time.Sleep(50 * time.Millisecond)
 
-	for i := 0; i < frames; i++ {
-		msg, err := partConn.Recv()
-		if err != nil {
-			t.Fatalf("frame %d lost to the route teardown: %v", i, err)
-		}
-		if len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
-			t.Fatalf("frame %d out of order or damaged: %+v", i, msg)
-		}
-	}
-	if _, err := partConn.Recv(); err == nil {
-		t.Fatal("route not torn down after the drain")
+			for i := 0; i < frames; i++ {
+				msg, err := partConn.Recv()
+				if err != nil {
+					t.Fatalf("frame %d lost to the route teardown: %v", i, err)
+				}
+				if len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
+					t.Fatalf("frame %d out of order or damaged: %+v", i, msg)
+				}
+			}
+			if _, err := partConn.Recv(); err == nil {
+				t.Fatal("route not torn down after the drain")
+			}
+		})
 	}
 }
 
 // TestBrokerCorruptFrameQuarantinesRouteNotHub is the fault-transparency
 // regression test: a CRC-corrupt frame crossing the relay must quarantine
-// only the affected route — the supervisor redials through the hub, the
-// resume handshake is re-bound to the same worker, and every task still
-// completes with an accepted verdict — while an unrelated worker's route
-// keeps relaying untouched. It also pins the accounting contract under
-// faults: the hub's counters reconcile exactly with its endpoint byte
-// counters, and total egress equals RelayedBytes.
+// only the affected route — its one-route supervisor link — while the
+// supervisor redials through the hub, the resume handshake is re-bound to
+// the same worker, and every task still completes with an accepted
+// verdict; an unrelated worker's route keeps relaying untouched. It also
+// pins the accounting contract under faults: the hub's counters reconcile
+// exactly with its endpoint byte counters, and total egress equals
+// RelayedBytes plus ControlBytes.
 func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	hub := NewBrokerHub()
 	defer hub.Close()
@@ -401,18 +444,20 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	}
 
 	// Close the hub before joining the serve loops: a redial whose garbled
-	// hello was rejected leaves an orphaned registered worker link whose
-	// serve goroutine only ends when the hub releases it.
+	// mux hello or route open was refused leaves an orphaned registered
+	// worker link whose serve goroutine only ends when the hub releases it.
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub close: %v", err)
 	}
 	faulty.shutdown()
 	clean.shutdown()
 
-	fst, _ := hub.WorkerStats("faulty")
-	if fst.CorruptFrames == 0 {
+	// Supervisor-leg damage carries no surviving route tag, so it is
+	// counted against the physical link, never a worker.
+	if hub.MuxCorruptFrames() == 0 {
 		t.Fatal("no corrupt frame ever crossed the relay; the test proves nothing")
 	}
+	fst, _ := hub.WorkerStats("faulty")
 	if fst.Binds < 2 {
 		t.Errorf("faulty worker bound %d times, want >= 2 (resume-through-relay)", fst.Binds)
 	}
@@ -428,8 +473,9 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	}
 
 	// Exact accounting: everything the hub-side endpoints ever received is
-	// either a consumed hello, relayed ingress, a counted corrupt frame, or
-	// a rejected handshake; everything they sent is relayed egress.
+	// a consumed hello, relayed ingress, envelope overhead, an orphaned
+	// entry, a control frame, a counted corrupt frame, or a rejected
+	// handshake; everything they sent is relayed egress or control.
 	var endRecv, endSent int64
 	for _, w := range workers {
 		w.mu.Lock()
@@ -445,21 +491,24 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 		acct += st.WorkerHelloBytes + st.SupervisorHelloBytes + st.CorruptBytes +
 			st.ToWorker.IngressBytes + st.ToSupervisor.IngressBytes
 	}
-	acct += hub.RejectedHandshakeBytes()
+	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: brokerTestLabel})}.FrameSize()
+	acct += hub.RejectedHandshakeBytes() + hub.MuxLinks()*muxHello + hub.MuxOverheadIngressBytes() +
+		hub.OrphanedBytes() + hub.MuxCorruptBytes() + hub.ControlIngressBytes()
 	if endRecv != acct {
 		t.Errorf("hub ingress accounting drifted: endpoints received %dB, counters account %dB", endRecv, acct)
 	}
-	if endSent != hub.RelayedBytes() {
-		t.Errorf("hub egress accounting drifted: endpoints sent %dB, RelayedBytes %dB", endSent, hub.RelayedBytes())
+	if want := hub.RelayedBytes() + hub.ControlBytes(); endSent != want {
+		t.Errorf("hub egress accounting drifted: endpoints sent %dB, RelayedBytes+ControlBytes %dB", endSent, want)
 	}
 }
 
 // TestBrokeredPipelinedSessionAccounting runs a pipelined NI-CBS session
 // through the hub on a clean link and pins exact byte accounting across the
-// relay hop: per-task outcome bytes plus session overhead plus the hello
-// equal the supervisor endpoint's counters even though the hub re-batched
-// the frames in between, and each hub direction reconciles with its
-// endpoints.
+// relay hop: per-task outcome bytes plus session overhead equal the route's
+// endpoint counters even though the hub re-batched the frames in between,
+// each hub direction reconciles with its endpoints, and the physical
+// supervisor link decomposes into the route's frames plus the hub's mux
+// ledgers.
 func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	hub := NewBrokerHub()
 	defer hub.Close()
@@ -479,20 +528,25 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	go func() { serveErr <- p.Serve(partConn) }()
 
 	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "p"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
+	m, err := OpenMux(supConn, brokerTestLabel)
+	if err != nil {
+		t.Fatalf("OpenMux: %v", err)
 	}
 	// A small send delay on the hub→supervisor leg queues return frames
 	// behind the forwarder so the re-batching path actually runs.
 	if err := hub.Attach(transport.WithLatency(hubUp, 200*time.Microsecond)); err != nil {
 		t.Fatalf("Attach supervisor: %v", err)
 	}
+	route, err := m.OpenRoute("p")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
+	}
 
 	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1}, Seed: 17})
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
-	sess, err := sup.OpenSession(supConn, 4)
+	sess, err := sup.OpenSession(route, 4)
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
@@ -516,9 +570,12 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
-	_ = supConn.Close()
+	_ = route.Close()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("mux close: %v", err)
 	}
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub close: %v", err)
@@ -535,18 +592,20 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 		taskSent += o.BytesSent
 		taskRecv += o.BytesRecv
 	}
+	// No hello rides the route itself — the mux and open handshakes are
+	// physical-link traffic — so task + overhead bytes alone must equal the
+	// route's endpoint counters.
 	ovSent, ovRecv := sess.OverheadBytes()
-	helloSize := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"})}.FrameSize()
-	if got, want := supConn.Stats().BytesSent(), taskSent+ovSent+helloSize; got != want {
-		t.Errorf("supervisor sent %dB; tasks+overhead+hello = %dB", got, want)
+	if got, want := route.Stats().BytesSent(), taskSent+ovSent; got != want {
+		t.Errorf("route sent %dB; tasks+overhead = %dB", got, want)
 	}
-	if got, want := supConn.Stats().BytesRecv(), taskRecv+ovRecv; got != want {
-		t.Errorf("supervisor received %dB; tasks+overhead = %dB", got, want)
+	if got, want := route.Stats().BytesRecv(), taskRecv+ovRecv; got != want {
+		t.Errorf("route received %dB; tasks+overhead = %dB", got, want)
 	}
 
 	st, _ := hub.WorkerStats("p")
-	if got, want := supConn.Stats().BytesSent(), st.SupervisorHelloBytes+st.ToWorker.IngressBytes; got != want {
-		t.Errorf("hub up-ingress %dB does not reconcile with supervisor sent %dB", want, got)
+	if got, want := route.Stats().BytesSent(), st.ToWorker.IngressBytes; got != want {
+		t.Errorf("hub up-ingress %dB does not reconcile with route sent %dB", want, got)
 	}
 	if got, want := partConn.Stats().BytesRecv(), st.ToWorker.EgressBytes; got != want {
 		t.Errorf("hub down-egress %dB does not reconcile with participant received %dB", want, got)
@@ -554,8 +613,22 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	if got, want := partConn.Stats().BytesSent(), st.WorkerHelloBytes+st.ToSupervisor.IngressBytes; got != want {
 		t.Errorf("hub down-ingress %dB does not reconcile with participant sent %dB", want, got)
 	}
-	if got, want := supConn.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
-		t.Errorf("hub up-egress %dB does not reconcile with supervisor received %dB", want, got)
+	if got, want := route.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
+		t.Errorf("hub up-egress %dB does not reconcile with route received %dB", want, got)
+	}
+	// The physical supervisor link: everything the supervisor wrote reached
+	// the hub, and both directions decompose exactly into the route's inner
+	// frames, the handshakes, and the hub's link-level ledgers.
+	if got, want := supConn.Stats().BytesSent(), hubUp.Stats().BytesRecv(); got != want {
+		t.Errorf("supervisor link sent %dB, hub received %dB", got, want)
+	}
+	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: brokerTestLabel})}.FrameSize()
+	if got, want := hubUp.Stats().BytesRecv(), muxHello+st.SupervisorHelloBytes+st.ToWorker.IngressBytes+
+		hub.MuxOverheadIngressBytes()+hub.OrphanedBytes()+hub.MuxCorruptBytes()+hub.ControlIngressBytes(); got != want {
+		t.Errorf("hub physical ingress %dB does not decompose: accounted %dB", got, want)
+	}
+	if got, want := hubUp.Stats().BytesSent(), st.ToSupervisor.EgressBytes+hub.MuxOverheadEgressBytes()+hub.ControlBytes(); got != want {
+		t.Errorf("hub physical egress %dB does not decompose: accounted %dB", got, want)
 	}
 	if st.ToSupervisor.EgressMsgs > st.ToSupervisor.IngressMsgs {
 		t.Errorf("re-batching grew the frame count: %d egress for %d ingress", st.ToSupervisor.EgressMsgs, st.ToSupervisor.IngressMsgs)
@@ -821,17 +894,53 @@ func TestBrokerEvictsDeadRegisteredWorker(t *testing.T) {
 		t.Fatalf("EvictedWorkerLinks = %d, want 1", got)
 	}
 
-	// A supervisor naming the evicted identity must not bind: the hub waits
-	// out the bind timeout and closes the supervisor link, which is how the
-	// failure reaches the dialing peer.
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "w1"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
+	// A route naming the evicted identity must not bind: the hub waits out
+	// the bind timeout and closes the route, which is how the failure
+	// reaches the dialing peer.
+	m, _ := openTestMux(t, hub, brokerTestLabel)
+	defer m.Close()
+	route, err := m.OpenRoute("w1")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
 	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
+	if _, err := route.Recv(); err == nil {
+		t.Fatal("route bound to an evicted worker link")
+	}
+}
+
+// TestBrokerRefusesRetiredSupervisorHello pins the retired handshake: a
+// link opening with the role-2 hello that once asked for a dedicated
+// supervisor link is refused at Attach, closed, and counted — frame bytes
+// included — as a rejected handshake, never bound to the worker it names.
+func TestBrokerRefusesRetiredSupervisorHello(t *testing.T) {
+	hub := NewBrokerHub()
+	defer hub.Close()
+	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
+	defer partConn.Close()
+	if err := HelloWorker(partConn, "p"); err != nil {
+		t.Fatalf("HelloWorker: %v", err)
+	}
+	if err := hub.Attach(hubDown); err != nil {
+		t.Fatalf("Attach worker: %v", err)
+	}
+	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
+	hello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleRetired, Worker: "p"})}
+	if err := supConn.Send(hello); err != nil {
+		t.Fatalf("send retired hello: %v", err)
+	}
+	if err := hub.Attach(hubUp); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("Attach(role-2 hello) = %v, want ErrBadPayload", err)
 	}
 	if _, err := supConn.Recv(); err == nil {
-		t.Fatal("supervisor bound to an evicted worker link")
+		t.Fatal("refused link left open")
+	}
+	if got := hub.RejectedHandshakes(); got != 1 {
+		t.Errorf("RejectedHandshakes = %d, want 1", got)
+	}
+	if got, want := hub.RejectedHandshakeBytes(), hello.FrameSize(); got != want {
+		t.Errorf("RejectedHandshakeBytes = %d, want the hello's %d", got, want)
+	}
+	if st, _ := hub.WorkerStats("p"); st.Binds != 0 || st.SupervisorHelloBytes != 0 {
+		t.Errorf("retired hello reached the worker's route ledger: %+v", st)
 	}
 }

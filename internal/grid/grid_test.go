@@ -337,14 +337,19 @@ func TestBrokeredNICBS(t *testing.T) {
 	go func() { serveErr <- participant.Serve(partConn) }()
 
 	supConn, brokerUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "p"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
+	m, err := OpenMux(supConn, "supervisor")
+	if err != nil {
+		t.Fatalf("OpenMux: %v", err)
 	}
 	if err := hub.Attach(brokerUp); err != nil {
 		t.Fatalf("Attach(supervisor): %v", err)
 	}
+	route, err := m.OpenRoute("p")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
+	}
 
-	outcome, err := supervisor.RunTask(supConn, syntheticTask(128))
+	outcome, err := supervisor.RunTask(route, syntheticTask(128))
 	if err != nil {
 		t.Fatalf("RunTask through broker: %v", err)
 	}
@@ -352,9 +357,12 @@ func TestBrokeredNICBS(t *testing.T) {
 		t.Fatalf("honest brokered participant rejected: %s", outcome.Verdict.Reason)
 	}
 
-	_ = supConn.Close()
+	_ = route.Close()
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("mux Close: %v", err)
 	}
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub Close: %v", err)
@@ -374,13 +382,14 @@ func TestBrokeredNICBS(t *testing.T) {
 	}
 	// The dialogue exchange crossed a clean relay frame for frame: both
 	// directions' ingress must equal their egress, and each side of the hub
-	// reconciles exactly with its endpoint counters (hello included).
+	// reconciles exactly with its endpoint counters — the route's in inner
+	// frame sizes, the worker link's hello included.
 	if st.ToWorker.IngressBytes != st.ToWorker.EgressBytes ||
 		st.ToSupervisor.IngressBytes != st.ToSupervisor.EgressBytes {
 		t.Fatalf("clean dialogue relay not byte-preserving: %+v", st)
 	}
-	if got, want := supConn.Stats().BytesSent(), st.SupervisorHelloBytes+st.ToWorker.IngressBytes; got != want {
-		t.Fatalf("supervisor sent %dB, hub accounted %dB", got, want)
+	if got, want := route.Stats().BytesSent(), st.ToWorker.IngressBytes; got != want {
+		t.Fatalf("supervisor route sent %dB, hub accounted %dB", got, want)
 	}
 	if got, want := partConn.Stats().BytesRecv(), st.ToWorker.EgressBytes; got != want {
 		t.Fatalf("participant received %dB, hub forwarded %dB", got, want)
@@ -388,8 +397,22 @@ func TestBrokeredNICBS(t *testing.T) {
 	if got, want := partConn.Stats().BytesSent(), st.WorkerHelloBytes+st.ToSupervisor.IngressBytes; got != want {
 		t.Fatalf("participant sent %dB, hub accounted %dB", got, want)
 	}
-	if got, want := supConn.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
-		t.Fatalf("supervisor received %dB, hub forwarded %dB", got, want)
+	if got, want := route.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
+		t.Fatalf("supervisor route received %dB, hub forwarded %dB", got, want)
+	}
+	// The physical supervisor link carries the route's frames inside mux
+	// envelopes plus the handshakes and credit traffic; it decomposes
+	// exactly into the hub's link-level ledgers.
+	if got, want := supConn.Stats().BytesSent(), brokerUp.Stats().BytesRecv(); got != want {
+		t.Fatalf("supervisor link sent %dB, hub received %dB", got, want)
+	}
+	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor"})}.FrameSize()
+	if got, want := brokerUp.Stats().BytesRecv(), muxHello+st.SupervisorHelloBytes+st.ToWorker.IngressBytes+
+		hub.MuxOverheadIngressBytes()+hub.OrphanedBytes()+hub.MuxCorruptBytes()+hub.ControlIngressBytes(); got != want {
+		t.Fatalf("hub physical ingress %dB does not decompose: accounted %dB", got, want)
+	}
+	if got, want := brokerUp.Stats().BytesSent(), st.ToSupervisor.EgressBytes+hub.MuxOverheadEgressBytes()+hub.ControlBytes(); got != want {
+		t.Fatalf("hub physical egress %dB does not decompose: accounted %dB", got, want)
 	}
 }
 

@@ -201,8 +201,8 @@ func (m *SupervisorMux) Failed() bool {
 }
 
 // OpenRoute opens a new route to the named registered worker and returns
-// its connection. The route behaves like a dedicated supervisor link dialed
-// through the hub: it binds to the worker's registration (waiting up to the
+// its connection. The route behaves like a link dialed straight to the
+// worker through the hub: it binds to the worker's registration (waiting up to the
 // hub's bind timeout), relays frames both ways, and surfaces route or link
 // death as a closed connection that the session layer's quarantine/resume
 // machinery recovers from.

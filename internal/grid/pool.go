@@ -232,7 +232,6 @@ type streamConfig struct {
 	replicas      int
 	identity      func(transport.Conn) string
 	ledgers       []*WindowLedger
-	highWater     int
 	pinned        bool
 	sourceBase    uint64
 	drainCkpt     uint64
@@ -346,16 +345,6 @@ func (o windowSettleOption) applyStream(c *streamConfig) { c.ledgers = o.ledgers
 func WithWindowSettle(ledgers []*WindowLedger) StreamOption {
 	return windowSettleOption{ledgers}
 }
-
-type highWaterOption int
-
-func (o highWaterOption) applyStream(c *streamConfig) { c.highWater = int(o) }
-
-// WithHighWater bounds how many tasks a source-fed stream materializes as
-// tickets ahead of execution (default 2 × window × connections). Memory for
-// an unbounded run is O(high water + in-flight), independent of stream
-// length.
-func WithHighWater(n int) StreamOption { return highWaterOption(n) }
 
 type pinnedPlacementOption struct{}
 

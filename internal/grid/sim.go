@@ -388,7 +388,7 @@ type simWorker struct {
 // link — the tentpole topology, all routes riding one reader/writer pair at
 // each end — while a faulty run opens one muxed link per dial so each dial
 // keeps its own deterministic fault plan and its own quarantine-and-redial
-// lifecycle, exactly like the dedicated links it replaces.
+// lifecycle: a one-route link quarantines exactly its route.
 type muxManager struct {
 	hub *BrokerHub
 

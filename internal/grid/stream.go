@@ -891,8 +891,8 @@ func (p *SupervisorPool) RunTasksStream(ctx context.Context, conns []transport.C
 
 // RunTaskSource verifies an unbounded (or very long) task stream over
 // pipelined sessions: tasks are drawn lazily from source under a bounded
-// look-ahead (WithHighWater), so scheduler memory is O(high water +
-// in-flight) regardless of stream length. Everything RunTasksStream
+// look-ahead of 2 × window × len(conns) tickets, so scheduler memory is
+// O(window × connections) regardless of stream length. Everything RunTasksStream
 // documents — revocable claims, quarantine/resume, retirement — applies;
 // the double-check scheme is not supported (replica groups need the full
 // task list for pre-placement; use RunTasksStream).
@@ -914,10 +914,6 @@ func (p *SupervisorPool) RunTaskSource(ctx context.Context, conns []transport.Co
 	if p.sup.cfg.Spec.Kind == SchemeDoubleCheck || cfg.replicas != 0 {
 		return nil, fmt.Errorf("%w: RunTaskSource does not support replicated double-check; use RunTasksStream", ErrBadConfig)
 	}
-	if cfg.highWater <= 0 {
-		cfg.highWater = 2 * window * len(conns)
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	d := newDispatcher(p, &cfg, cancel)
 	slots, err := p.openStreamSlots(d, conns, window, &cfg)
@@ -927,7 +923,7 @@ func (p *SupervisorPool) RunTaskSource(ctx context.Context, conns []transport.Co
 	}
 	d.source = source
 	d.sourceNext = cfg.sourceBase
-	d.highWater = cfg.highWater
+	d.highWater = 2 * window * len(conns)
 	d.pinnedRR = cfg.pinned
 
 	return p.launchStream(ctx, cancel, d, &cfg, slots, window), nil

@@ -139,9 +139,10 @@ var wireDecoderFor = map[uint8]string{
 const (
 	// helloRoleWorker registers the sending link as the named participant.
 	helloRoleWorker uint8 = 1
-	// helloRoleSupervisor asks the hub to route the sending link to the
-	// named registered participant.
-	helloRoleSupervisor uint8 = 2
+	// helloRoleRetired once opened a dedicated one-route supervisor link.
+	// Supervisor links are multiplexed now, so decodeHello rejects it; the
+	// other roles keep their numbers and encodings.
+	helloRoleRetired uint8 = 2
 	// helloRoleMux attaches the sending link as a multiplexed supervisor
 	// link carrying many routes; Worker names the supervisor for stats.
 	helloRoleMux uint8 = 3
@@ -158,8 +159,8 @@ const (
 const maxWorkerNameLen = 256
 
 // helloMsg is the decoded msgHello payload. Route is meaningful only for
-// the mux-family roles (mux/open/close); the worker and supervisor role
-// encodings are byte-identical to the pre-mux wire format.
+// the mux-family roles (mux/open/close); the worker role encoding is
+// byte-identical to the pre-mux wire format.
 type helloMsg struct {
 	Role   uint8
 	Worker string
@@ -183,7 +184,7 @@ func decodeHello(payload []byte) (helloMsg, error) {
 	if err != nil {
 		return m, fmt.Errorf("%w: hello role: %v", ErrBadPayload, err)
 	}
-	if role < helloRoleWorker || role > helloRoleClose {
+	if role < helloRoleWorker || role > helloRoleClose || role == helloRoleRetired {
 		return m, fmt.Errorf("%w: hello role %d", ErrBadPayload, role)
 	}
 	m.Role = role

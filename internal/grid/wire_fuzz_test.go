@@ -178,7 +178,7 @@ func FuzzDecodeResults(f *testing.F) {
 // whatever a misbehaving endpoint dials in with.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeHello(helloMsg{Role: helloRoleWorker, Worker: "participant-7"}))
-	f.Add(encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"}))
+	f.Add(encodeHello(helloMsg{Role: helloRoleRetired, Worker: "p"})) // rejected
 	f.Add(encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor-0", Route: 0}))
 	f.Add(encodeHello(helloMsg{Role: helloRoleOpen, Worker: "participant-7", Route: 41}))
 	f.Add(encodeHello(helloMsg{Role: helloRoleClose, Worker: "participant-7", Route: 1 << 40}))

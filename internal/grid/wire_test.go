@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,6 +22,33 @@ func TestWireDecoderManifestTotal(t *testing.T) {
 	}
 	if len(wireDecoderFor) != int(msgCheckpointAck-msgAssign)+1 {
 		t.Errorf("wireDecoderFor has %d entries, want %d", len(wireDecoderFor), int(msgCheckpointAck-msgAssign)+1)
+	}
+}
+
+// TestHelloRoleEncodings pins the handshake's byte layout: the live roles
+// keep their numbers and encodings, and the retired role 2 (a dedicated
+// supervisor link) is rejected by the decoder.
+func TestHelloRoleEncodings(t *testing.T) {
+	for _, c := range []struct {
+		m    helloMsg
+		want []byte
+	}{
+		{helloMsg{Role: helloRoleWorker, Worker: "p"}, []byte{0x01, 0x01, 'p'}},
+		{helloMsg{Role: helloRoleMux, Worker: "s", Route: 0}, []byte{0x03, 0x01, 's', 0x00}},
+		{helloMsg{Role: helloRoleOpen, Worker: "w", Route: 41}, []byte{0x04, 0x01, 'w', 41}},
+		{helloMsg{Role: helloRoleClose, Worker: "w", Route: 300}, []byte{0x05, 0x01, 'w', 0xac, 0x02}},
+	} {
+		got := encodeHello(c.m)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("encodeHello(%+v) = % x, want % x", c.m, got, c.want)
+		}
+		back, err := decodeHello(got)
+		if err != nil || back != c.m {
+			t.Errorf("decodeHello(% x) = %+v, %v; want %+v", got, back, err, c.m)
+		}
+	}
+	if m, err := decodeHello([]byte{0x02, 0x01, 'p'}); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("decodeHello(role 2) = %+v, %v; want ErrBadPayload", m, err)
 	}
 }
 
@@ -74,7 +103,7 @@ func wireCorpusSeeds() map[string][][]byte {
 		},
 		"FuzzDecodeHello": {
 			encodeHello(helloMsg{Role: helloRoleWorker, Worker: "participant-7"}),
-			encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"}),
+			encodeHello(helloMsg{Role: helloRoleRetired, Worker: "p"}), // rejected
 			encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor-0", Route: 0}),
 			encodeHello(helloMsg{Role: helloRoleOpen, Worker: "participant-7", Route: 41}),
 			encodeHello(helloMsg{Role: helloRoleClose, Worker: "participant-7", Route: 1 << 40}),

@@ -14,11 +14,6 @@ var (
 	ErrIncomplete = errors.New("merkle: not all declared leaves were added")
 )
 
-// streamShardBuffer is the per-shard channel depth of a sharded builder:
-// deep enough to keep workers busy while the producer runs ahead, shallow
-// enough to bound buffered leaf references.
-const streamShardBuffer = 256
-
 // StreamBuilder computes the Merkle root of an n-leaf tree in a single
 // left-to-right pass using O(log n) memory. Participants with domains far
 // larger than RAM (the paper discusses |D| = 2^40) use it to produce the
@@ -56,51 +51,22 @@ type StreamBuilder struct {
 	stack  [][]byte
 	levels []int
 
-	// Sharded mode (WithParallelism): the padded leaf range is split into
-	// aligned power-of-two spans, each consumed by a worker running its own
-	// serial builder; Root merges the shard frontiers. closed records that
-	// the shard inputs have been closed, so a retried finalization can never
-	// close a channel twice. shards[i] owns absolute span firstSpan+i: a
-	// builder restored mid-stream spawns workers only for the spans at or
-	// after its restore point and carries the already-merged spans as the
-	// prefix frontier.
-	shards    []*streamShard
-	span      int
-	firstSpan int
-	prefix    []FrontierEntry
-	padTable  [][]byte
-	closed    bool
-
 	// win tracks per-window roots when WithWindowTracking is enabled, so
 	// WindowRoot can serve sliding-window commitments without the leaves.
 	win *windowTracker
 }
 
-// NewStreamBuilder prepares a builder for exactly n leaves.
-//
-// WithParallelism(p) shards the stream: the padded leaf range is split into
-// nextPow2(p) aligned power-of-two subtree spans, each fed over a buffered
-// channel to a worker goroutine running the serial O(log n) builder on its
-// span, and Root merges the shard roots. The root is bit-identical to the
-// serial builder's. Unlike Build there is no NumCPU clamp or minimum size —
-// sharding is an explicit per-builder opt-in — but a sharded builder owns
-// worker goroutines: callers must finish the stream and call Root to release
-// them. Leaf values are absorbed asynchronously in sharded mode, so a caller
-// must never mutate a value after Add, even on the next iteration.
+// NewStreamBuilder prepares a builder for exactly n leaves. The builder is
+// always the serial single-pass engine: WithParallelism is accepted (so one
+// option list can configure Build, NewPartial and NewStreamBuilder alike)
+// but has no effect here and starts no goroutine.
 func NewStreamBuilder(n int, opts ...Option) (*StreamBuilder, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
 	}
 	o := buildOptions(opts)
 	hs := newHashers(o)
-	capacity := nextPow2(n)
-	var b *StreamBuilder
-	if shards := streamShards(o.parallelism, capacity); shards > 1 {
-		b = &StreamBuilder{n: n, cap: capacity, depth: log2(capacity), hs: hs}
-		b.startShards(shards, 0, nil, 0)
-	} else {
-		b = newSerialStream(n, hs)
-	}
+	b := newSerialStream(n, hs)
 	if o.window > 0 {
 		win, err := newWindowTracker(o.window, o.windowKeep, hs)
 		if err != nil {
@@ -131,23 +97,6 @@ func newSerialStream(n int, hs hashers) *StreamBuilder {
 	return b
 }
 
-// streamShards resolves the shard count for a sharded stream build: the
-// requested parallelism rounded up to a power of two (spans must be aligned
-// subtrees), clamped so every shard owns at least two leaves.
-func streamShards(requested, capacity int) int {
-	if requested <= 1 {
-		return 1
-	}
-	s := nextPow2(requested)
-	if s > capacity/2 {
-		s = capacity / 2
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
-}
-
 // Add appends the next leaf value (leaves must arrive in index order).
 func (b *StreamBuilder) Add(value []byte) error {
 	if value == nil {
@@ -159,14 +108,9 @@ func (b *StreamBuilder) Add(value []byte) error {
 	if b.win != nil {
 		b.win.add(value)
 	}
-	switch {
-	case b.shards != nil:
-		// Leaves arrive in index order, so shards fill strictly left to
-		// right; validation above means shard Adds cannot fail.
-		b.shards[b.added/b.span-b.firstSpan].ch <- value
-	case b.pending != nil:
+	if b.pending != nil {
 		b.pushFast(value)
-	default:
+	} else {
 		b.push(value, 0)
 	}
 	b.added++
@@ -194,21 +138,17 @@ func (b *StreamBuilder) Root() ([]byte, error) {
 }
 
 func (b *StreamBuilder) finalize() ([]byte, error) {
-	switch {
-	case b.shards != nil:
-		return b.finalizeShards()
-	case b.pending != nil:
+	if b.pending != nil {
 		return b.finalizeFast(), nil
-	default:
-		for i := b.n; i < b.cap; i++ {
-			b.push(b.hs.pad, 0)
-		}
-		if len(b.stack) != 1 {
-			// Unreachable for a complete tree; guards internal invariants.
-			return nil, fmt.Errorf("merkle: internal error: %d pending subtrees after padding", len(b.stack))
-		}
-		return b.stack[0], nil
 	}
+	for i := b.n; i < b.cap; i++ {
+		b.push(b.hs.pad, 0)
+	}
+	if len(b.stack) != 1 {
+		// Unreachable for a complete tree; guards internal invariants.
+		return nil, fmt.Errorf("merkle: internal error: %d pending subtrees after padding", len(b.stack))
+	}
+	return b.stack[0], nil
 }
 
 // pushFast is the allocation-free twin of push. The trailing 1-bits of added
@@ -267,177 +207,6 @@ func (b *StreamBuilder) finalizeFast() []byte {
 		cur = b.pending[b.depth]
 	}
 	return cur
-}
-
-// streamShard is one worker of a sharded builder: a serial engine over the
-// shard's real leaves, fed over ch, whose root is lifted to span height.
-// flush lets Snapshot quiesce the worker: the worker drains every leaf that
-// was sent before the request (the producer and the snapshotter are the same
-// goroutine, so those sends have all completed) and replies with its engine's
-// frontier.
-type streamShard struct {
-	ch    chan []byte
-	flush chan chan shardState
-	done  chan struct{}
-	eng   *StreamBuilder
-	root  []byte
-	err   error
-}
-
-// shardState is a quiesced shard engine's position, handed back over flush.
-type shardState struct {
-	added    int
-	frontier []FrontierEntry
-	err      error
-}
-
-// startShards switches the builder into sharded mode with the given
-// power-of-two shard count. Shards that contain no real leaf get no worker;
-// their span roots are all-pad digests taken from the pad table. A restore
-// passes firstSpan > 0 plus the partially-filled first span's frontier;
-// spans before firstSpan are carried by the builder's prefix frontier and
-// get no worker.
-func (b *StreamBuilder) startShards(shards, firstSpan int, partial []FrontierEntry, partialAdded int) {
-	b.span = b.cap / shards
-	spanDepth := log2(b.span)
-	b.padTable = b.hs.padTable(spanDepth)
-	b.firstSpan = firstSpan
-	live := (b.n + b.span - 1) / b.span
-	if live < firstSpan {
-		live = firstSpan
-	}
-	b.shards = make([]*streamShard, live-firstSpan)
-	for i := range b.shards {
-		s := firstSpan + i
-		count := b.n - s*b.span
-		if count > b.span {
-			count = b.span
-		}
-		eng := newSerialStream(count, b.hs)
-		if i == 0 && partialAdded > 0 {
-			eng.restoreFrontier(partialAdded, partial)
-		}
-		sh := &streamShard{
-			ch:    make(chan []byte, streamShardBuffer),
-			flush: make(chan chan shardState),
-			done:  make(chan struct{}),
-			eng:   eng,
-		}
-		b.shards[i] = sh
-		go sh.run(b.padTable, spanDepth)
-	}
-}
-
-// run consumes the shard's leaves and computes its span root. A shard whose
-// real leaves fill only a prefix of its span is topped up with all-pad right
-// siblings: combine(root, padAt(h)) for each level between the serial
-// engine's own height and the span height — byte-identical to streaming the
-// pad leaves individually.
-func (sh *streamShard) run(pads [][]byte, spanDepth int) {
-	defer close(sh.done)
-	for {
-		select {
-		case v, ok := <-sh.ch:
-			if !ok {
-				sh.finish(pads, spanDepth)
-				return
-			}
-			if sh.err == nil {
-				sh.err = sh.eng.Add(v)
-			}
-		case req := <-sh.flush:
-			// Drain the buffered backlog first: every leaf destined for this
-			// shard was sent before the flush request, so a non-blocking
-			// sweep observes all of them.
-			for drained := false; !drained; {
-				select {
-				case v, ok := <-sh.ch:
-					if !ok {
-						// Finalize raced the snapshot; disallowed by the
-						// builder (Snapshot errors after Root), so just stop.
-						sh.finish(pads, spanDepth)
-						req <- shardState{err: ErrFinalized}
-						return
-					}
-					if sh.err == nil {
-						sh.err = sh.eng.Add(v)
-					}
-				default:
-					drained = true
-				}
-			}
-			req <- shardState{
-				added:    sh.eng.added,
-				frontier: sh.eng.frontier(),
-				err:      sh.err,
-			}
-		}
-	}
-}
-
-func (sh *streamShard) finish(pads [][]byte, spanDepth int) {
-	if sh.err != nil {
-		return
-	}
-	root, err := sh.eng.Root()
-	if err != nil {
-		sh.err = err
-		return
-	}
-	for h := sh.eng.depth; h < spanDepth; h++ {
-		root = sh.eng.hs.combine(root, pads[h])
-	}
-	sh.root = root
-}
-
-// finalizeShards closes the shard inputs and merges the prefix frontier (a
-// restored builder's already-merged spans), the live span roots, and the
-// all-pad span roots into the commitment. The merge is the binary-counter
-// push at span height — for a fresh builder this performs exactly the
-// pairwise bottom-up combines of the full tree, so roots stay byte-identical
-// to the serial builder's.
-func (b *StreamBuilder) finalizeShards() ([]byte, error) {
-	if !b.closed {
-		b.closed = true
-		for _, sh := range b.shards {
-			close(sh.ch)
-		}
-	}
-	spanDepth := log2(b.span)
-	var stack [][]byte
-	var levels []int
-	push := func(v []byte, level int) {
-		stack = append(stack, v)
-		levels = append(levels, level)
-		for len(stack) >= 2 && levels[len(levels)-1] == levels[len(levels)-2] {
-			top := len(stack) - 1
-			merged := b.hs.combine(stack[top-1], stack[top])
-			lvl := levels[top] + 1
-			stack = append(stack[:top-1], merged)
-			levels = append(levels[:top-1], lvl)
-		}
-	}
-	for _, e := range b.prefix {
-		push(e.Digest, e.Level)
-	}
-	totalSpans := b.cap / b.span
-	for s := b.firstSpan; s < totalSpans; s++ {
-		root := b.padTable[spanDepth]
-		if i := s - b.firstSpan; i < len(b.shards) {
-			sh := b.shards[i]
-			<-sh.done
-			if sh.err != nil {
-				// Unreachable: Add validates before routing to a shard.
-				return nil, fmt.Errorf("merkle: internal error: shard %d: %w", s, sh.err)
-			}
-			root = sh.root
-		}
-		push(root, spanDepth)
-	}
-	if len(stack) != 1 {
-		return nil, fmt.Errorf("merkle: internal error: %d pending subtrees after shard merge", len(stack))
-	}
-	return stack[0], nil
 }
 
 // push places a subtree root of the given height on the stack and merges

@@ -9,7 +9,16 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"uncheatgrid/internal/leakcheck"
 )
+
+// The stream builder has a single serial engine; WithParallelism is
+// accepted so one option list can configure Build, NewPartial and
+// NewStreamBuilder, but it must leave the stream builder's output and
+// contract untouched. The tests below pin that against the materialized
+// tree. Their "Sharded" names date from a removed sharded stream engine.
 
 // variableHash reports a Size() that disagrees with its Sum length, forcing
 // the merkle package onto the allocating fallback path for variable-size
@@ -20,10 +29,52 @@ func newVariableHash() hash.Hash { return variableHash{Hash: sha256.New()} }
 
 func (v variableHash) Size() int { return 16 }
 
+// TestStreamBuilderIgnoresParallelism pins that WithParallelism starts no
+// goroutine on a stream builder, fresh or restored: with both builders
+// mid-stream, no goroutine is running, and both finish on the serial root.
+func TestStreamBuilderIgnoresParallelism(t *testing.T) {
+	const n, split = 1000, 300
+	values := leafValues(n)
+	want := mustBuild(t, values).Root()
+	b, err := NewStreamBuilder(n, WithParallelism(4))
+	if err != nil {
+		t.Fatalf("NewStreamBuilder: %v", err)
+	}
+	for _, v := range values[:split] {
+		if err := b.Add(v); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	snap, err := b.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	r, err := RestoreStreamBuilder(snap, WithParallelism(4))
+	if err != nil {
+		t.Fatalf("RestoreStreamBuilder: %v", err)
+	}
+	if err := leakcheck.Check(100 * time.Millisecond); err != nil {
+		t.Fatalf("mid-stream builders own goroutines: %v", err)
+	}
+	for _, sb := range []*StreamBuilder{b, r} {
+		for _, v := range values[split:] {
+			if err := sb.Add(v); err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+		}
+		got, err := sb.Root()
+		if err != nil {
+			t.Fatalf("Root: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("root %x != serial root %x", got, want)
+		}
+	}
+}
+
 // TestStreamBuilderShardedMatchesSerial sweeps leaf counts (powers of two,
-// off-by-ones, tiny trees where sharding disables itself) against a grid of
-// parallelism degrees: every combination must reproduce the serial root
-// bit for bit.
+// off-by-ones, tiny trees) against a grid of parallelism degrees: every
+// combination must reproduce the tree root bit for bit.
 func TestStreamBuilderShardedMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200, 257, 1024, 1031} {
 		values := leafValues(n)
@@ -44,7 +95,7 @@ func TestStreamBuilderShardedMatchesSerial(t *testing.T) {
 					t.Fatalf("Root: %v", err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("sharded root %x != serial root %x", got, want)
+					t.Fatalf("stream root %x != tree root %x", got, want)
 				}
 			})
 		}
@@ -87,9 +138,10 @@ func TestStreamBuilderShardedQuick(t *testing.T) {
 	}
 }
 
-// TestStreamBuilderShardedErrorSemantics pins that the sharded builder keeps
-// the serial builder's contract: nil leaves and overflow rejected up front,
-// ErrIncomplete before all leaves arrive, idempotent Root after.
+// TestStreamBuilderShardedErrorSemantics pins that a builder given
+// WithParallelism keeps the stream contract: nil leaves and overflow
+// rejected up front, ErrIncomplete before all leaves arrive, idempotent
+// Root after.
 func TestStreamBuilderShardedErrorSemantics(t *testing.T) {
 	b, err := NewStreamBuilder(8, WithParallelism(4))
 	if err != nil {
@@ -119,52 +171,41 @@ func TestStreamBuilderShardedErrorSemantics(t *testing.T) {
 		t.Fatalf("Root (second call): %v", err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatal("sharded Root is not idempotent")
+		t.Fatal("Root is not idempotent")
 	}
 	if want := mustBuild(t, values).Root(); !bytes.Equal(first, want) {
-		t.Fatalf("sharded root %x != tree root %x", first, want)
+		t.Fatalf("stream root %x != tree root %x", first, want)
 	}
 }
 
-// TestStreamBuilderShardedVariableHasher drives the sharded path over the
-// allocating fallback engine (a hasher whose Sum length disagrees with
-// Size()), which must still produce the serial fallback's root.
+// TestStreamBuilderShardedVariableHasher drives a builder given
+// WithParallelism over the allocating fallback engine (a hasher whose Sum
+// length disagrees with Size()), which must still produce the tree root.
 func TestStreamBuilderShardedVariableHasher(t *testing.T) {
 	const n = 77
 	values := leafValues(n)
-	serial, err := NewStreamBuilder(n, WithHasher(newVariableHash))
-	if err != nil {
-		t.Fatalf("NewStreamBuilder: %v", err)
-	}
-	sharded, err := NewStreamBuilder(n, WithHasher(newVariableHash), WithParallelism(4))
+	b, err := NewStreamBuilder(n, WithHasher(newVariableHash), WithParallelism(4))
 	if err != nil {
 		t.Fatalf("NewStreamBuilder: %v", err)
 	}
 	for _, v := range values {
-		if err := serial.Add(v); err != nil {
-			t.Fatalf("serial Add: %v", err)
-		}
-		if err := sharded.Add(v); err != nil {
-			t.Fatalf("sharded Add: %v", err)
+		if err := b.Add(v); err != nil {
+			t.Fatalf("Add: %v", err)
 		}
 	}
-	want, err := serial.Root()
+	got, err := b.Root()
 	if err != nil {
-		t.Fatalf("serial Root: %v", err)
+		t.Fatalf("Root: %v", err)
 	}
-	got, err := sharded.Root()
-	if err != nil {
-		t.Fatalf("sharded Root: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("variable-hasher sharded root %x != serial %x", got, want)
+	if want := mustBuild(t, values, WithHasher(newVariableHash)).Root(); !bytes.Equal(got, want) {
+		t.Fatalf("variable-hasher stream root %x != tree root %x", got, want)
 	}
 }
 
-// FuzzStreamBuilderSharded fuzzes the sharded builder against the serial one
-// and the materialized tree: random leaf count, random per-leaf sizes carved
-// from the fuzz input, random parallelism. Any divergence is a soundness bug
-// in the frontier merge.
+// FuzzStreamBuilderSharded fuzzes the stream builder against the
+// materialized tree: random leaf count, random per-leaf sizes carved from
+// the fuzz input, random parallelism. Any divergence is a soundness bug in
+// the binary-counter frontier.
 func FuzzStreamBuilderSharded(f *testing.F) {
 	f.Add(uint16(1), uint8(0), []byte{0x01})
 	f.Add(uint16(5), uint8(3), []byte("hello fuzzer"))
@@ -206,7 +247,7 @@ func FuzzStreamBuilderSharded(f *testing.F) {
 			t.Fatalf("Root: %v", err)
 		}
 		if want := tree.Root(); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d p=%d: sharded root %x != tree root %x", n, p, got, want)
+			t.Fatalf("n=%d p=%d: stream root %x != tree root %x", n, p, got, want)
 		}
 	})
 }

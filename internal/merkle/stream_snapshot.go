@@ -4,10 +4,9 @@ package merkle
 // count plus the O(log n) frontier of pending subtree roots (the binary-
 // counter stack), so a rolling commitment over a weeks-long stream can be
 // persisted as a few hundred bytes and resumed after a process restart.
-// Snapshot canonicalizes every engine mode — the fast pending-slot path,
-// the allocating stack fallback, and the sharded worker pool — into the
-// same frontier form, and RestoreStreamBuilder can rebuild any mode from
-// it, so a stream may even be snapshotted serial and resumed sharded.
+// Snapshot canonicalizes both engine paths — the fast pending-slot path and
+// the allocating stack fallback — into the same frontier form, which
+// RestoreStreamBuilder resumes from.
 
 import (
 	"bytes"
@@ -103,100 +102,23 @@ func (b *StreamBuilder) restoreFrontier(added int, entries []FrontierEntry) {
 }
 
 // Snapshot captures the builder's position as a canonical frontier that
-// RestoreStreamBuilder can resume from, in any engine mode. A sharded
-// builder quiesces its workers first (each drains its buffered leaves and
-// reports its engine frontier), then merges the completed span roots with
-// the binary counter so the result is byte-identical to the serial
-// builder's frontier at the same position. Snapshot is non-destructive: the
+// RestoreStreamBuilder can resume from. Snapshot is non-destructive: the
 // builder keeps streaming afterwards.
 func (b *StreamBuilder) Snapshot() (*StreamSnapshot, error) {
-	if b.root != nil || b.closed {
+	if b.root != nil {
 		return nil, ErrFinalized
 	}
-	snap := &StreamSnapshot{N: b.n, Added: b.added}
-	switch {
-	case b.shards != nil:
-		frontier, err := b.shardedFrontier()
-		if err != nil {
-			return nil, err
-		}
-		snap.Frontier = frontier
-	default:
-		snap.Frontier = b.frontier()
-	}
+	snap := &StreamSnapshot{N: b.n, Added: b.added, Frontier: b.frontier()}
 	if b.win != nil {
 		snap.Window = b.win.snapshot()
 	}
 	return snap, nil
 }
 
-// shardedFrontier canonicalizes a sharded builder's position: the prefix
-// frontier (spans merged before a restore) and the completed shards' span
-// roots feed a binary-counter merge at span height, and the in-progress
-// shard's sub-span frontier rides below it untouched.
-func (b *StreamBuilder) shardedFrontier() ([]FrontierEntry, error) {
-	spanDepth := log2(b.span)
-	cur := b.added / b.span // absolute index of the first incomplete span
-	var stack [][]byte
-	var levels []int
-	push := func(v []byte, level int) {
-		stack = append(stack, v)
-		levels = append(levels, level)
-		for len(stack) >= 2 && levels[len(levels)-1] == levels[len(levels)-2] {
-			top := len(stack) - 1
-			merged := b.hs.combine(stack[top-1], stack[top])
-			lvl := levels[top] + 1
-			stack = append(stack[:top-1], merged)
-			levels = append(levels[:top-1], lvl)
-		}
-	}
-	for _, e := range b.prefix {
-		push(cloneBytes(e.Digest), e.Level)
-	}
-	var partial []FrontierEntry
-	for s := b.firstSpan; s <= cur && s-b.firstSpan < len(b.shards); s++ {
-		st, err := b.shards[s-b.firstSpan].quiesce()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case s < cur:
-			// A complete span: its engine holds exactly one pending root at
-			// span height (the span is a full power-of-two subtree).
-			if len(st.frontier) != 1 || st.frontier[0].Level != spanDepth {
-				return nil, fmt.Errorf("merkle: internal error: completed shard %d frontier has %d entries", s, len(st.frontier))
-			}
-			push(st.frontier[0].Digest, spanDepth)
-		case b.added%b.span > 0:
-			partial = st.frontier
-		}
-	}
-	out := make([]FrontierEntry, 0, len(stack)+len(partial))
-	for i := range stack {
-		out = append(out, FrontierEntry{Level: levels[i], Digest: stack[i]})
-	}
-	out = append(out, partial...)
-	return out, nil
-}
-
-// quiesce asks the shard worker to drain its channel and report its engine
-// position.
-func (sh *streamShard) quiesce() (shardState, error) {
-	req := make(chan shardState)
-	sh.flush <- req
-	st := <-req
-	if st.err != nil {
-		return shardState{}, st.err
-	}
-	return st, nil
-}
-
 // RestoreStreamBuilder resumes a stream from a snapshot. The restored
 // builder continues at leaf index snap.Added and produces a root
 // byte-identical to an uninterrupted build over the same leaves. Options
-// follow NewStreamBuilder: WithParallelism restores into sharded mode
-// (workers are spawned for the spans at or after the restore point; the
-// already-merged spans ride along as a prefix frontier), and the hasher
+// follow NewStreamBuilder (WithParallelism has no effect), and the hasher
 // must match the one the snapshot was taken with.
 func RestoreStreamBuilder(snap *StreamSnapshot, opts ...Option) (*StreamBuilder, error) {
 	o := buildOptions(opts)
@@ -204,26 +126,8 @@ func RestoreStreamBuilder(snap *StreamSnapshot, opts ...Option) (*StreamBuilder,
 	if err := validateSnapshot(snap); err != nil {
 		return nil, err
 	}
-	capacity := nextPow2(snap.N)
-	var b *StreamBuilder
-	if shards := streamShards(o.parallelism, capacity); shards > 1 {
-		b = &StreamBuilder{n: snap.N, added: snap.Added, cap: capacity, depth: log2(capacity), hs: hs}
-		span := capacity / shards
-		spanDepth := log2(span)
-		firstSpan := snap.Added / span
-		var partial []FrontierEntry
-		for _, e := range snap.Frontier {
-			if e.Level >= spanDepth {
-				b.prefix = append(b.prefix, FrontierEntry{Level: e.Level, Digest: cloneBytes(e.Digest)})
-			} else {
-				partial = append(partial, e)
-			}
-		}
-		b.startShards(shards, firstSpan, partial, snap.Added%span)
-	} else {
-		b = newSerialStream(snap.N, hs)
-		b.restoreFrontier(snap.Added, snap.Frontier)
-	}
+	b := newSerialStream(snap.N, hs)
+	b.restoreFrontier(snap.Added, snap.Frontier)
 	if snap.Window != nil {
 		win, err := restoreWindowTracker(snap.Window, hs)
 		if err != nil {

@@ -34,77 +34,65 @@ func serialRoot(t *testing.T, leaves [][]byte) []byte {
 	return root
 }
 
-// TestStreamSnapshotRestoreRoots snapshots builders of every engine mode at
-// every split point and restores them into every engine mode; all roots must
-// be byte-identical to an uninterrupted serial build.
+// TestStreamSnapshotRestoreRoots snapshots a builder at every split point
+// and restores it through the wire form; every root must be byte-identical
+// to an uninterrupted build.
 func TestStreamSnapshotRestoreRoots(t *testing.T) {
-	modes := []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", nil},
-		{"sharded2", []Option{WithParallelism(2)}},
-		{"sharded4", []Option{WithParallelism(4)}},
-	}
 	for _, n := range []int{1, 2, 3, 7, 8, 13, 16, 33, 70} {
 		leaves := snapLeaves(n)
 		want := serialRoot(t, leaves)
 		for split := 0; split <= n; split++ {
-			for _, from := range modes {
-				for _, to := range modes {
-					b, err := NewStreamBuilder(n, from.opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, l := range leaves[:split] {
-						if err := b.Add(l); err != nil {
-							t.Fatal(err)
-						}
-					}
-					snap, err := b.Snapshot()
-					if err != nil {
-						t.Fatalf("n=%d split=%d %s: snapshot: %v", n, split, from.name, err)
-					}
-					// Marshal/unmarshal on the way so the wire form is what
-					// actually gets restored.
-					enc, err := snap.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					var decoded StreamSnapshot
-					if err := decoded.UnmarshalBinary(enc); err != nil {
-						t.Fatalf("n=%d split=%d: unmarshal: %v", n, split, err)
-					}
-					r, err := RestoreStreamBuilder(&decoded, to.opts...)
-					if err != nil {
-						t.Fatalf("n=%d split=%d %s->%s: restore: %v", n, split, from.name, to.name, err)
-					}
-					for _, l := range leaves[split:] {
-						if err := r.Add(l); err != nil {
-							t.Fatal(err)
-						}
-					}
-					got, err := r.Root()
-					if err != nil {
-						t.Fatalf("n=%d split=%d %s->%s: root: %v", n, split, from.name, to.name, err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("n=%d split=%d %s->%s: restored root differs", n, split, from.name, to.name)
-					}
-					// The original builder must keep working after Snapshot.
-					for _, l := range leaves[split:] {
-						if err := b.Add(l); err != nil {
-							t.Fatal(err)
-						}
-					}
-					cont, err := b.Root()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(cont, want) {
-						t.Fatalf("n=%d split=%d %s: snapshot disturbed the builder", n, split, from.name)
-					}
+			b, err := NewStreamBuilder(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range leaves[:split] {
+				if err := b.Add(l); err != nil {
+					t.Fatal(err)
 				}
+			}
+			snap, err := b.Snapshot()
+			if err != nil {
+				t.Fatalf("n=%d split=%d: snapshot: %v", n, split, err)
+			}
+			// Marshal/unmarshal on the way so the wire form is what
+			// actually gets restored.
+			enc, err := snap.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded StreamSnapshot
+			if err := decoded.UnmarshalBinary(enc); err != nil {
+				t.Fatalf("n=%d split=%d: unmarshal: %v", n, split, err)
+			}
+			r, err := RestoreStreamBuilder(&decoded)
+			if err != nil {
+				t.Fatalf("n=%d split=%d: restore: %v", n, split, err)
+			}
+			for _, l := range leaves[split:] {
+				if err := r.Add(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := r.Root()
+			if err != nil {
+				t.Fatalf("n=%d split=%d: root: %v", n, split, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d split=%d: restored root differs", n, split)
+			}
+			// The original builder must keep working after Snapshot.
+			for _, l := range leaves[split:] {
+				if err := b.Add(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cont, err := b.Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cont, want) {
+				t.Fatalf("n=%d split=%d: snapshot disturbed the builder", n, split)
 			}
 		}
 	}

@@ -96,8 +96,9 @@ func (o parallelismOption) apply(opts *options) { opts.parallelism = o.p }
 // unaffected: slice indexing is always safe.
 //
 // Parallelism only affects construction; proofs and verification are
-// unchanged. NewStreamBuilder and NewPartial interpret the same option with
-// their own clamping rules — see their docs.
+// unchanged. NewPartial interprets the same option with its own clamping
+// rules (see its doc); NewStreamBuilder and RestoreStreamBuilder accept it
+// but always run their serial engine.
 func WithParallelism(p int) Option { return parallelismOption{p: p} }
 
 type windowTrackingOption struct{ w, keep int }

@@ -119,10 +119,9 @@ var (
 	// WithMerkleParallelism shards tree construction across a worker pool;
 	// roots are bit-identical to the sequential build. The leaf function
 	// is then called from multiple goroutines, so it must be safe for
-	// concurrent use. It applies to BuildMerkleTree/BuildMerkleTreeFunc
-	// and, as a sharded streaming mode, to NewMerkleStreamBuilder; the
-	// storage-bounded (WithSubtreeHeight) prover builds sequentially and
-	// ignores it.
+	// concurrent use. It applies to BuildMerkleTree/BuildMerkleTreeFunc;
+	// NewMerkleStreamBuilder and the storage-bounded (WithSubtreeHeight)
+	// prover build sequentially and ignore it.
 	WithMerkleParallelism = merkle.WithParallelism
 )
 
@@ -332,15 +331,11 @@ var (
 	NewBrokerHub = grid.NewBrokerHub
 	// HelloWorker registers a participant identity on a hub link.
 	HelloWorker = grid.HelloWorker
-	// HelloSupervisor asks a hub to route a link to a registered worker.
-	HelloSupervisor = grid.HelloSupervisor
 	// OpenMux turns one hub link into a multiplexed carrier for many
 	// routes (see SupervisorMux.OpenRoute).
 	OpenMux = grid.OpenMux
 	// ErrMuxClosed reports use of a closed supervisor mux.
 	ErrMuxClosed = grid.ErrMuxClosed
-	// WithRelayBatching toggles relay-hop batching on a hub (default on).
-	WithRelayBatching = grid.WithRelayBatching
 	// WithBrokerBindTimeout bounds how long a supervisor link waits for its
 	// worker to register.
 	WithBrokerBindTimeout = grid.WithBindTimeout
@@ -397,9 +392,6 @@ var (
 	// hash chain, and the per-link ledgers verify every commit with sampled
 	// membership proofs.
 	WithStreamWindowSettle = grid.WithWindowSettle
-	// WithStreamHighWater bounds how many tickets a source-driven run
-	// materializes ahead of execution (default 2×window×connections).
-	WithStreamHighWater = grid.WithHighWater
 	// WithStreamPinnedPlacement places source task i on connection i mod n
 	// instead of work stealing, making placement deterministic.
 	WithStreamPinnedPlacement = grid.WithPinnedPlacement
