@@ -153,6 +153,46 @@ func TestDoubleCheckFlagsTheCheater(t *testing.T) {
 	}
 }
 
+// TestDoubleCheckReplicaZeroDissents pins the vote when the unanimity fast
+// path's reference replica is the liar: every index where it differs is
+// disputed, the canonical value is the honest majority's, and unanimous
+// indices alias replica 0's own slice.
+func TestDoubleCheckReplicaZeroDissents(t *testing.T) {
+	f := workload.NewSynthetic(4, 1, 64)
+	d, err := NewDoubleCheck(3)
+	if err != nil {
+		t.Fatalf("NewDoubleCheck: %v", err)
+	}
+	cheater, err := cheat.NewSemiHonest(f, 0.5, 9)
+	if err != nil {
+		t.Fatalf("NewSemiHonest: %v", err)
+	}
+	const n = 64
+	honest := claims(cheat.NewHonest(f), n)
+	lies := claims(cheater, n)
+	verdict, err := d.Compare([][][]byte{lies, honest, claims(cheat.NewHonest(f), n)})
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if len(verdict.Dissenters) != 1 || verdict.Dissenters[0] != 0 {
+		t.Fatalf("Dissenters = %v, want [0]", verdict.Dissenters)
+	}
+	disputed := 0
+	for i := range honest {
+		if string(verdict.Canonical[i]) != string(honest[i]) {
+			t.Fatalf("canonical corrupted at %d", i)
+		}
+		if string(lies[i]) != string(honest[i]) {
+			disputed++
+		} else if &verdict.Canonical[i][0] != &lies[i][0] {
+			t.Fatalf("unanimous index %d does not alias replica 0", i)
+		}
+	}
+	if disputed == 0 || verdict.DisputedIndices != disputed {
+		t.Fatalf("DisputedIndices = %d, want %d (> 0)", verdict.DisputedIndices, disputed)
+	}
+}
+
 func TestDoubleCheckNoConsensus(t *testing.T) {
 	d, err := NewDoubleCheck(2)
 	if err != nil {

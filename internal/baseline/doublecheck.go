@@ -27,6 +27,8 @@ func (d *DoubleCheck) Replicas() int { return d.replicas }
 // Verdict is the outcome of a redundancy comparison.
 type Verdict struct {
 	// Canonical is the majority result vector (index-wise majority vote).
+	// Its entries alias the replicas' input slices (a winning replica's
+	// bytes, not a copy): callers must treat both as read-only.
 	Canonical [][]byte
 	// Dissenters lists replica positions that disagreed with the majority
 	// on at least one index — the flagged (presumed cheating) replicas.
@@ -56,20 +58,19 @@ func (d *DoubleCheck) Compare(replicaResults [][][]byte) (*Verdict, error) {
 	verdict := &Verdict{Canonical: make([][]byte, n)}
 	dissenting := make([]bool, d.replicas)
 	for i := 0; i < n; i++ {
-		majority, ok := majorityValue(replicaResults, i)
+		majority, unanimous, ok := majorityValue(replicaResults, i)
 		if !ok {
 			return nil, fmt.Errorf("%w: index %d", ErrNoConsensus, i)
 		}
 		verdict.Canonical[i] = majority
-		disputed := false
+		if unanimous {
+			continue
+		}
+		verdict.DisputedIndices++
 		for r := 0; r < d.replicas; r++ {
 			if !bytes.Equal(replicaResults[r][i], majority) {
 				dissenting[r] = true
-				disputed = true
 			}
-		}
-		if disputed {
-			verdict.DisputedIndices++
 		}
 	}
 	for r, bad := range dissenting {
@@ -81,17 +82,30 @@ func (d *DoubleCheck) Compare(replicaResults [][][]byte) (*Verdict, error) {
 }
 
 // majorityValue returns the strictly most common value at index i, if one
-// exists (> half the replicas).
-func majorityValue(replicaResults [][][]byte, i int) ([]byte, bool) {
+// exists (> half the replicas), and whether every replica agreed. The result
+// aliases a replica's slice. When every replica agrees — the common case —
+// that is replica 0's, and no vote is tallied.
+func majorityValue(replicaResults [][][]byte, i int) (value []byte, unanimous, ok bool) {
+	first := replicaResults[0][i]
+	unanimous = true
+	for _, results := range replicaResults[1:] {
+		if !bytes.Equal(results[i], first) {
+			unanimous = false
+			break
+		}
+	}
+	if unanimous {
+		return first, true, true
+	}
 	k := len(replicaResults)
 	counts := make(map[string]int, k)
 	for r := 0; r < k; r++ {
 		counts[string(replicaResults[r][i])]++
 	}
-	for value, count := range counts {
-		if 2*count > k {
-			return []byte(value), true
+	for r := 0; r < k; r++ {
+		if 2*counts[string(replicaResults[r][i])] > k {
+			return replicaResults[r][i], false, true
 		}
 	}
-	return nil, false
+	return nil, false, false
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	rand2 "math/rand/v2"
 
 	"uncheatgrid/internal/merkle"
 )
@@ -133,23 +134,52 @@ type rngOption struct{ rng *mrand.Rand }
 func (o rngOption) apply(c *config) { c.rng = o.rng }
 
 // WithRand fixes the verifier's challenge randomness; experiments use it for
-// reproducibility. The default draws a fresh seed from crypto/rand.
+// reproducibility. The default is a NewRand stream keyed from crypto/rand.
 func WithRand(rng *mrand.Rand) Option { return rngOption{rng: rng} }
 
+// buildConfig resolves opts; the option-less call skips the heap copy that
+// applying options through the interface costs.
 func buildConfig(opts []Option) config {
-	var c config
-	for _, opt := range opts {
-		opt.apply(&c)
+	if len(opts) == 0 {
+		return config{}
 	}
-	return c
+	c := new(config)
+	for _, opt := range opts {
+		opt.apply(c)
+	}
+	return *c
 }
 
-// cryptoSeededRand returns a math/rand generator seeded from the OS CSPRNG;
-// used when the caller does not pin randomness.
+// NewRand returns a challenge stream keyed by a 32-byte secret: ChaCha8
+// (math/rand/v2) behind the math/rand API, so WithRand and the baseline
+// samplers take it unchanged. Keying is O(1) — no seeding loop — and equal
+// keys give equal streams.
+func NewRand(key [32]byte) *mrand.Rand {
+	src := new(chachaSource)
+	src.c.Seed(key)
+	return mrand.New(src)
+}
+
+// chachaSource adapts ChaCha8 to math/rand's Source64.
+type chachaSource struct{ c rand2.ChaCha8 }
+
+func (s *chachaSource) Uint64() uint64 { return s.c.Uint64() }
+
+func (s *chachaSource) Int63() int64 { return int64(s.c.Uint64() >> 1) }
+
+// Seed rekeys the stream from a 64-bit seed (little-endian, zero-padded).
+func (s *chachaSource) Seed(seed int64) {
+	var key [32]byte
+	binary.LittleEndian.PutUint64(key[:], uint64(seed))
+	s.c.Seed(key)
+}
+
+// cryptoSeededRand returns a NewRand stream keyed from the OS CSPRNG; used
+// when the caller does not pin randomness.
 func cryptoSeededRand() (*mrand.Rand, error) {
-	var seed [8]byte
-	if _, err := rand.Read(seed[:]); err != nil {
+	var key [32]byte
+	if _, err := rand.Read(key[:]); err != nil {
 		return nil, fmt.Errorf("core: seed challenge rng: %w", err)
 	}
-	return mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(seed[:])))), nil
+	return NewRand(key), nil
 }

@@ -10,7 +10,8 @@ import (
 // proofSource abstracts the full and partial Merkle trees behind the prover.
 type proofSource interface {
 	Root() []byte
-	Prove(i int) (*merkle.Proof, error)
+	ProveInto(dst *merkle.Proof, i int) error
+	Height() int
 }
 
 // Prover is the participant side of CBS. It owns the committed Merkle tree
@@ -71,14 +72,29 @@ func (p *Prover) Respond(indices []uint64) (*Response, error) {
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
+	// All m proofs, and all their sibling headers, come from one backing
+	// array each; values share one slab sized from the first proof's (a
+	// longer leaf value simply grows out of it).
+	height := p.source.Height()
+	backing := make([]merkle.Proof, len(indices))
+	siblings := make([][]byte, len(indices)*height)
 	proofs := make([]*merkle.Proof, len(indices))
+	var values []byte
 	for k, idx := range indices {
 		if idx >= uint64(p.n) {
 			return nil, fmt.Errorf("%w: challenged index %d outside domain [0,%d)",
 				ErrProtocol, idx, p.n)
 		}
-		proof, err := p.source.Prove(int(idx))
-		if err != nil {
+		proof := &backing[k]
+		proof.Siblings = siblings[k*height : k*height : (k+1)*height]
+		if k > 0 {
+			w := len(backing[0].Value)
+			if k == 1 {
+				values = make([]byte, (len(indices)-1)*w)
+			}
+			proof.Value = values[(k-1)*w : (k-1)*w : k*w]
+		}
+		if err := p.source.ProveInto(proof, int(idx)); err != nil {
 			return nil, fmt.Errorf("core: prove index %d: %w", idx, err)
 		}
 		proofs[k] = proof

@@ -9,11 +9,13 @@ import (
 )
 
 // Verifier is the supervisor side of CBS for one participant's task. It
-// holds the received commitment and audits responses against it.
+// holds the received commitment and audits responses against it, reusing
+// one Merkle path verifier across every sample. It is not safe for
+// concurrent use.
 type Verifier struct {
-	commitment  Commitment
-	treeOptions []merkle.Option
-	rng         challengeRand
+	commitment Commitment
+	paths      *merkle.PathVerifier
+	rng        challengeRand
 }
 
 // challengeRand is the minimal randomness surface Challenge needs.
@@ -32,8 +34,8 @@ func NewVerifier(c Commitment, opts ...Option) (*Verifier, error) {
 	}
 	cfg := buildConfig(opts)
 	v := &Verifier{
-		commitment:  Commitment{Root: append([]byte(nil), c.Root...), N: c.N},
-		treeOptions: cfg.treeOptions,
+		commitment: Commitment{Root: append([]byte(nil), c.Root...), N: c.N},
+		paths:      merkle.NewPathVerifier(cfg.treeOptions...),
 	}
 	if cfg.rng != nil {
 		v.rng = cfg.rng
@@ -127,7 +129,7 @@ func (v *Verifier) verifySample(idx uint64, proof *merkle.Proof, check CheckFunc
 		return &CheatError{Index: idx, Err: fmt.Errorf("%w: %v", ErrWrongOutput, err)}
 	}
 	// Step 4, case 2: was that value committed before the challenge?
-	switch err := merkle.Verify(v.commitment.Root, proof, v.treeOptions...); {
+	switch err := v.paths.Verify(v.commitment.Root, proof); {
 	case err == nil:
 		return nil
 	case errors.Is(err, merkle.ErrRootMismatch):

@@ -37,29 +37,32 @@ func (c Commitment) MarshalBinary() ([]byte, error) {
 	if len(c.Root) == 0 {
 		return nil, fmt.Errorf("%w: empty commitment root", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(c.Root)))
-	buf.Write(c.Root)
-	writeUvarint(&buf, c.N)
-	return buf.Bytes(), nil
+	buf := make([]byte, 0, c.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(c.Root)))
+	buf = append(buf, c.Root...)
+	return binary.AppendUvarint(buf, c.N), nil
 }
 
 // UnmarshalBinary decodes a commitment produced by MarshalBinary.
 func (c *Commitment) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	root, err := readLengthPrefixed(r, "root")
+	size, err := readUvarint(&data, "root length")
 	if err != nil {
 		return err
 	}
-	if len(root) == 0 {
+	if size == 0 {
 		return fmt.Errorf("%w: empty commitment root", ErrProtocol)
 	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("%w: commitment n: %v", ErrProtocol, err)
+	if size > uint64(len(data)) {
+		return fmt.Errorf("%w: root declares %d bytes, %d remain", ErrProtocol, size, len(data))
 	}
-	if err := expectEOF(r); err != nil {
+	root := bytes.Clone(data[:size])
+	data = data[size:]
+	n, err := readUvarint(&data, "commitment n")
+	if err != nil {
 		return err
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(data))
 	}
 	c.Root = root
 	c.N = n
@@ -76,35 +79,34 @@ func (ch Challenge) MarshalBinary() ([]byte, error) {
 	if len(ch.Indices) == 0 {
 		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(ch.Indices)))
+	buf := make([]byte, 0, ch.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(ch.Indices)))
 	for _, idx := range ch.Indices {
-		writeUvarint(&buf, idx)
+		buf = binary.AppendUvarint(buf, idx)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // UnmarshalBinary decodes a challenge produced by MarshalBinary.
 func (ch *Challenge) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	m, err := binary.ReadUvarint(r)
+	m, err := readUvarint(&data, "challenge count")
 	if err != nil {
-		return fmt.Errorf("%w: challenge count: %v", ErrProtocol, err)
+		return err
 	}
 	const maxSamples = 1 << 20 // far above any useful m; bounds allocation
-	if m == 0 || m > maxSamples {
-		return fmt.Errorf("%w: challenge count %d outside [1, %d]", ErrProtocol, m, maxSamples)
+	// Each index takes at least one byte, so the payload bounds m too.
+	if m == 0 || m > maxSamples || m > uint64(len(data)) {
+		return fmt.Errorf("%w: challenge count %d outside [1, %d] or beyond %d payload bytes",
+			ErrProtocol, m, maxSamples, len(data))
 	}
 	indices := make([]uint64, m)
 	for k := range indices {
-		idx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("%w: challenge index %d: %v", ErrProtocol, k, err)
+		if indices[k], err = readUvarint(&data, "challenge index"); err != nil {
+			return err
 		}
-		indices[k] = idx
 	}
-	if err := expectEOF(r); err != nil {
-		return err
+	if len(data) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(data))
 	}
 	ch.Indices = indices
 	return nil
@@ -120,54 +122,72 @@ func (ch Challenge) EncodedSize() int {
 }
 
 // MarshalBinary encodes the response as uvarint(count) followed by each
-// proof length-prefixed.
+// proof length-prefixed, in one allocation of exactly EncodedSize bytes.
 func (resp *Response) MarshalBinary() ([]byte, error) {
 	if resp == nil || len(resp.Proofs) == 0 {
 		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(resp.Proofs)))
 	for k, proof := range resp.Proofs {
 		if proof == nil {
 			return nil, fmt.Errorf("%w: nil proof %d", ErrProtocol, k)
 		}
-		encoded, err := proof.MarshalBinary()
-		if err != nil {
+	}
+	buf := make([]byte, 0, resp.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(resp.Proofs)))
+	for k, proof := range resp.Proofs {
+		buf = binary.AppendUvarint(buf, uint64(proof.EncodedSize()))
+		var err error
+		if buf, err = proof.AppendBinary(buf); err != nil {
 			return nil, fmt.Errorf("core: marshal proof %d: %w", k, err)
 		}
-		writeUvarint(&buf, uint64(len(encoded)))
-		buf.Write(encoded)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary decodes a response produced by MarshalBinary.
+// UnmarshalBinary decodes a response produced by MarshalBinary. The
+// response owns its bytes — transport payloads are pooled and recycled — so
+// data is copied once into a slab, and every proof is decoded into one
+// backing array whose values and siblings subslice that slab.
 func (resp *Response) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	count, err := binary.ReadUvarint(r)
+	count, err := readUvarint(&data, "response count")
 	if err != nil {
-		return fmt.Errorf("%w: response count: %v", ErrProtocol, err)
+		return err
 	}
 	const maxProofs = 1 << 20
-	if count == 0 || count > maxProofs {
-		return fmt.Errorf("%w: response count %d outside [1, %d]", ErrProtocol, count, maxProofs)
+	// Every proof takes at least its one-byte length prefix, which bounds
+	// the allocations below by the payload size.
+	if count == 0 || count > maxProofs || count > uint64(len(data)) {
+		return fmt.Errorf("%w: response count %d outside [1, %d] or beyond %d payload bytes",
+			ErrProtocol, count, maxProofs, len(data))
 	}
-	proofs := make([]*merkle.Proof, count)
+	slab := bytes.Clone(data)
+	proofs := make([]merkle.Proof, count)
+	ptrs := make([]*merkle.Proof, count)
+	var arena [][]byte
 	for k := range proofs {
-		encoded, err := readLengthPrefixed(r, fmt.Sprintf("proof %d", k))
+		size, err := readUvarint(&slab, "proof length")
 		if err != nil {
 			return err
 		}
-		var proof merkle.Proof
-		if err := proof.UnmarshalBinary(encoded); err != nil {
+		if size > uint64(len(slab)) {
+			return fmt.Errorf("%w: proof %d declares %d bytes, %d remain", ErrProtocol, k, size, len(slab))
+		}
+		if k == 1 {
+			// Size one sibling array for the rest from the first proof's
+			// depth, which every honest proof of a response shares. Each
+			// sibling takes at least a byte, so the slab bounds it.
+			arena = make([][]byte, 0, min((count-1)*uint64(len(proofs[0].Siblings)), uint64(len(slab))))
+		}
+		if arena, err = proofs[k].DecodeInto(slab[:size:size], arena); err != nil {
 			return fmt.Errorf("%w: proof %d: %v", ErrProtocol, k, err)
 		}
-		proofs[k] = &proof
+		ptrs[k] = &proofs[k]
+		slab = slab[size:]
 	}
-	if err := expectEOF(r); err != nil {
-		return err
+	if len(slab) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(slab))
 	}
-	resp.Proofs = proofs
+	resp.Proofs = ptrs
 	return nil
 }
 
@@ -182,40 +202,17 @@ func (resp *Response) EncodedSize() int {
 	return size
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
 func uvarintLen(v uint64) int {
 	var tmp [binary.MaxVarintLen64]byte
 	return binary.PutUvarint(tmp[:], v)
 }
 
-func readLengthPrefixed(r *bytes.Reader, what string) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s length: %v", ErrProtocol, what, err)
+// readUvarint consumes one uvarint from the front of *data.
+func readUvarint(data *[]byte, what string) (uint64, error) {
+	v, n := binary.Uvarint(*data)
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: %s: truncated or overlong uvarint", ErrProtocol, what)
 	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("%w: %s declares %d bytes, %d remain", ErrProtocol, what, n, r.Len())
-	}
-	out := make([]byte, n)
-	if n == 0 {
-		// bytes.Reader reports io.EOF for empty reads at the end of the
-		// buffer; a zero-length field is valid wherever it appears.
-		return out, nil
-	}
-	if _, err := r.Read(out); err != nil {
-		return nil, fmt.Errorf("%w: %s payload: %v", ErrProtocol, what, err)
-	}
-	return out, nil
-}
-
-func expectEOF(r *bytes.Reader) error {
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, r.Len())
-	}
-	return nil
+	*data = (*data)[n:]
+	return v, nil
 }

@@ -148,7 +148,9 @@ func WithRouteCreditWindow(n int64) LinkOption { return routeCreditWindowOption(
 // route's frames as they sit inside mux envelopes): ToWorker ingress and
 // ToSupervisor egress count inner frames, while the worker-link side counts
 // physical frames; the shared-envelope framing difference is carried by the
-// hub's signed mux overhead ledgers instead. Corrupt frames are counted per
+// hub's signed mux overhead ledgers instead. A supervisor entry that
+// arrives after its worker ended the link is an orphan (OrphanedBytes),
+// never ToWorker ingress as well. Corrupt frames are counted per
 // worker only on the worker link (ToSupervisor); a corrupt supervisor-link
 // frame cannot be attributed to a route and lands in MuxCorruptFrames.
 type RouteDirectionStats struct {
@@ -1309,11 +1311,14 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 			l.fail()
 			return false
 		}
-		if r.wc != nil {
-			r.wc.toWorker.ingressMsgs.Add(1)
-			r.wc.toWorker.ingressBytes.Add(size)
-		}
+		// An entry is ToWorker ingress only once queued: one that races the
+		// worker ending its link (the route still draining toward the
+		// supervisor) is an orphan instead, never both.
 		if r.toWorker.put(transport.Message{Type: e.Type, Payload: e.Payload}) {
+			if r.wc != nil {
+				r.wc.toWorker.ingressMsgs.Add(1)
+				r.wc.toWorker.ingressBytes.Add(size)
+			}
 			r.wcond.Broadcast()
 		} else {
 			h.orphanFrames.Add(1)

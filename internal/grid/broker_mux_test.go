@@ -626,3 +626,115 @@ func TestSimConfigRoutesValidation(t *testing.T) {
 		t.Error("Routes below the participant count was accepted")
 	}
 }
+
+// routeDrainingAfterWorkerEnd reports whether the hub holds a route to
+// worker whose worker side has ended while frames bound for the supervisor
+// still wait in its queue: the window in which supervisor entries for the
+// route can no longer be queued but the route is not yet retired.
+func routeDrainingAfterWorkerEnd(hub *BrokerHub, worker string) bool {
+	hub.mu.Lock()
+	links := make([]*supLink, 0, len(hub.links))
+	for l := range hub.links {
+		links = append(links, l)
+	}
+	hub.mu.Unlock()
+	for _, l := range links {
+		l.mu.Lock()
+		for _, r := range l.routes {
+			if r.worker == worker && r.state == routeActive && r.toSup.closed && !r.toSup.empty() {
+				l.mu.Unlock()
+				return true
+			}
+		}
+		l.mu.Unlock()
+	}
+	return false
+}
+
+// TestBrokerWorkerCloseWhileSupervisorSends pins the supervisor-side
+// ingress identity when a worker ends its link while its supervisor keeps
+// sending: the worker leaves frames queued toward a supervisor that is not
+// reading, closes, and only then does the supervisor send. Every one of
+// those entries is an orphan — counted once, never also as ToWorker ingress
+// — so the route's sent bytes and the physical link both reconcile to the
+// byte.
+func TestBrokerWorkerCloseWhileSupervisorSends(t *testing.T) {
+	hub := NewBrokerHub()
+	defer hub.Close()
+	down, wc := transport.Pipe(transport.WithBuffer(8))
+	if err := HelloWorker(wc, "w"); err != nil {
+		t.Fatalf("HelloWorker: %v", err)
+	}
+	if err := hub.Attach(down); err != nil {
+		t.Fatalf("Attach worker: %v", err)
+	}
+	m, hubUp := openTestMux(t, hub, "supervisor")
+	route, err := m.OpenRoute("w")
+	if err != nil {
+		t.Fatalf("OpenRoute: %v", err)
+	}
+	waitBinds(t, hub, "w", 1)
+
+	// Far more than the supervisor's route credit window, so most of it
+	// stays queued at the hub while the supervisor does not read.
+	const workerFrames = 64
+	payload := make([]byte, 4096)
+	for i := 0; i < workerFrames; i++ {
+		if err := wc.Send(transport.Message{Type: msgResultChunk, Payload: payload}); err != nil {
+			t.Fatalf("worker send %d: %v", i, err)
+		}
+	}
+	_ = wc.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !routeDrainingAfterWorkerEnd(hub, "w") {
+		if time.Now().After(deadline) {
+			t.Fatal("the hub never held the ended worker's route open with frames queued toward the supervisor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const supFrames = 20
+	for i := 0; i < supFrames; i++ {
+		if err := route.Send(transport.Message{Type: msgResultChunk, Payload: payload[:100]}); err != nil {
+			t.Fatalf("supervisor send %d: %v", i, err)
+		}
+	}
+	for hub.OrphanedFrames() < supFrames {
+		if time.Now().After(deadline) {
+			t.Fatalf("hub orphaned %d of the %d late entries", hub.OrphanedFrames(), supFrames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Drain the worker's frames; the hub's close notice then ends the route.
+	received := 0
+	for {
+		if _, err := route.Recv(); err != nil {
+			break
+		}
+		received++
+	}
+	if received != workerFrames {
+		t.Errorf("supervisor received %d of the worker's %d frames", received, workerFrames)
+	}
+	_ = route.Close()
+	_ = m.Close()
+	_ = hub.Close()
+
+	st, ok := hub.WorkerStats("w")
+	if !ok {
+		t.Fatal("no route stats for w")
+	}
+	if got := hub.OrphanedFrames(); got != supFrames {
+		t.Errorf("orphaned %d entries, want %d", got, supFrames)
+	}
+	if sent, want := route.Stats().BytesSent(), st.ToWorker.IngressBytes+hub.OrphanedBytes(); sent != want {
+		t.Errorf("route sent %dB, but ToWorker ingress %dB + orphaned %dB = %dB",
+			sent, st.ToWorker.IngressBytes, hub.OrphanedBytes(), want)
+	}
+	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor"})}.FrameSize()
+	physRecv := hubUp.Stats().BytesRecv()
+	if want := muxHello + st.SupervisorHelloBytes + st.ToWorker.IngressBytes + hub.MuxOverheadIngressBytes() + hub.OrphanedBytes() + hub.MuxCorruptBytes() + hub.ControlIngressBytes(); physRecv != want {
+		t.Errorf("physical ingress %dB does not decompose: hellos %d+%d, inner %d, overhead %d, orphans %d, corrupt %d, control-in %d",
+			physRecv, muxHello, st.SupervisorHelloBytes, st.ToWorker.IngressBytes, hub.MuxOverheadIngressBytes(), hub.OrphanedBytes(), hub.MuxCorruptBytes(), hub.ControlIngressBytes())
+	}
+}

@@ -13,7 +13,8 @@ package grid
 // participant exactly which messages to replay or re-derive from its
 // deterministic prover state.
 //
-// Determinism contract: the task's private randomness stream (taskRun.rng)
+// Determinism contract: the task's private randomness stream (taskRun.rng,
+// a ChaCha8 stream keyed by SHA-256(Seed ‖ task ID), see core.NewRand)
 // advances exactly once per protocol point — ringers at prepare, the
 // interactive challenge when the commitment arrives, the naive sample at
 // decide — regardless of how many connections the exchange spans. A faulty

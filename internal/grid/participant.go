@@ -665,11 +665,12 @@ func (e *taskExecution) claimAndScreen(i uint64, reports *[]Report) []byte {
 // issued arrives replayed inside res instead of over the wire.
 func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashchain.Chain, res *resumeMsg) error {
 	var reports []Report
-	// Screening happens once per input on the first (tree-building) pass.
-	screened := make(map[uint64]bool, e.task.N)
+	// Screening happens once per input on the first (tree-building) pass;
+	// partial-tree rebuilds re-claim without re-screening. One bit per input.
+	screened := make([]uint64, (e.task.N+63)/64)
 	claim := func(i uint64) []byte {
-		if !screened[i] {
-			screened[i] = true
+		if word, bit := i/64, uint64(1)<<(i%64); screened[word]&bit == 0 {
+			screened[word] |= bit
 			return e.claimAndScreen(i, &reports)
 		}
 		return e.producer.Claim(e.task.Start + i)
@@ -696,8 +697,9 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 	if err != nil {
 		return err
 	}
-	e.digest = prover.Commitment().Root
-	commitPayload, err := prover.Commitment().MarshalBinary()
+	commitment := prover.Commitment()
+	e.digest = commitment.Root
+	commitPayload, err := commitment.MarshalBinary()
 	if err != nil {
 		return err
 	}

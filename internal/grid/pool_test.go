@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"uncheatgrid/internal/core"
 	"uncheatgrid/internal/transport"
 )
 
@@ -301,5 +303,35 @@ func TestTaskSeedIndependence(t *testing.T) {
 	}
 	if taskSeed(5, 9) != taskSeed(5, 9) {
 		t.Error("taskSeed is not deterministic")
+	}
+}
+
+// TestTaskStreamChallengesDeterministic pins what the per-task stream is
+// for: equal (seed, task ID) pairs draw equal CBS challenges, whichever
+// supervisor instance draws them, and distinct task IDs draw different ones.
+func TestTaskStreamChallengesDeterministic(t *testing.T) {
+	cfg := SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 16}, Seed: 42}
+	challenge := func(id uint64) []uint64 {
+		t.Helper()
+		s, err := NewSupervisor(cfg)
+		if err != nil {
+			t.Fatalf("NewSupervisor: %v", err)
+		}
+		v, err := core.NewVerifier(core.Commitment{Root: make([]byte, 32), N: 1 << 20},
+			core.WithRand(s.newTaskRun(Task{ID: id, N: 1 << 20}).rng))
+		if err != nil {
+			t.Fatalf("NewVerifier: %v", err)
+		}
+		ch, err := v.Challenge(cfg.Spec.M)
+		if err != nil {
+			t.Fatalf("Challenge: %v", err)
+		}
+		return ch.Indices
+	}
+	if a, b := challenge(7), challenge(7); !slices.Equal(a, b) {
+		t.Errorf("task 7 drew %v, then %v", a, b)
+	}
+	if a, b := challenge(7), challenge(8); slices.Equal(a, b) {
+		t.Errorf("tasks 7 and 8 drew the same challenge %v", a)
 	}
 }

@@ -18,9 +18,9 @@ type SupervisorConfig struct {
 	// Spec selects and parameterizes the verification scheme.
 	Spec SchemeSpec
 	// Seed drives challenge and ringer randomness. Each task draws from a
-	// private generator seeded by hash(Seed, task ID), so runs with equal
-	// seeds and inputs are reproducible regardless of how tasks are
-	// scheduled across goroutines.
+	// private ChaCha8 stream keyed by SHA-256(Seed ‖ task ID) (core.NewRand),
+	// so runs with equal seeds and inputs are reproducible regardless of how
+	// tasks are scheduled across goroutines.
 	Seed int64
 	// CrossCheckReports enables the screener cross-check on sampled
 	// indices, which catches malicious (report-corrupting) participants in
@@ -53,14 +53,14 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 // verifying results since construction.
 func (s *Supervisor) VerifyEvals() int64 { return s.evals.Load() }
 
-// taskSeed mixes the supervisor seed with the task ID through SHA-256 so
-// every task gets an independent, scheduling-order-free randomness stream.
-func taskSeed(seed int64, taskID uint64) int64 {
+// taskSeed is the key of a task's randomness stream: SHA-256 of the
+// supervisor seed and the task ID (little-endian), so every task gets an
+// independent, scheduling-order-free stream.
+func taskSeed(seed int64, taskID uint64) [32]byte {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
 	binary.LittleEndian.PutUint64(buf[8:], taskID)
-	sum := sha256.Sum256(buf[:])
-	return int64(binary.LittleEndian.Uint64(sum[:8]))
+	return sha256.Sum256(buf[:])
 }
 
 // taskRun carries the mutable state of one task execution — its randomness
@@ -75,7 +75,7 @@ type taskRun struct {
 func (s *Supervisor) newTaskRun(task Task) *taskRun {
 	return &taskRun{
 		sup: s,
-		rng: rand.New(rand.NewSource(taskSeed(s.cfg.Seed, task.ID))),
+		rng: core.NewRand(taskSeed(s.cfg.Seed, task.ID)),
 	}
 }
 

@@ -314,6 +314,7 @@ func (led *WindowLedger) verifyLocked(m windowCommitMsg, wantWindow uint64) stri
 	if len(m.Proofs) != len(idxs) {
 		return fmt.Sprintf("window %d answers %d of %d challenged leaves", m.Window, len(m.Proofs), len(idxs))
 	}
+	paths := merkle.NewPathVerifier()
 	for j, idx := range idxs {
 		var proof merkle.Proof
 		if err := proof.UnmarshalBinary(m.Proofs[j]); err != nil {
@@ -323,7 +324,7 @@ func (led *WindowLedger) verifyLocked(m windowCommitMsg, wantWindow uint64) stri
 			return fmt.Sprintf("window %d proof %d proves leaf %d/%d, want %d/%d",
 				m.Window, j, proof.Index, proof.N, idx, led.w)
 		}
-		if err := merkle.Verify(m.Root, &proof); err != nil {
+		if err := paths.Verify(m.Root, &proof); err != nil {
 			return fmt.Sprintf("window %d proof %d: %v", m.Window, j, err)
 		}
 		want, ok := led.pend[m.TaskIDs[proof.Index]]

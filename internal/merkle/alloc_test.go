@@ -128,3 +128,24 @@ func TestVariableHasherFallbackStillCorrect(t *testing.T) {
 		t.Fatalf("fallback proof rejected: %v", err)
 	}
 }
+
+func TestPathVerifierZeroAlloc(t *testing.T) {
+	tree, err := Build(leafValues(1000))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	proof, err := tree.Prove(777)
+	if err != nil {
+		t.Fatalf("Prove: %v", err)
+	}
+	root := tree.Root()
+	v := NewPathVerifier()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := v.Verify(root, proof); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PathVerifier.Verify allocates %.1f per proof, want 0", allocs)
+	}
+}

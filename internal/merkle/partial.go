@@ -123,31 +123,42 @@ func (p *PartialTree) Root() []byte {
 // stored top levels. The resulting proof is byte-identical to the one a full
 // Tree would produce.
 func (p *PartialTree) Prove(i int) (*Proof, error) {
+	proof := &Proof{Siblings: make([][]byte, 0, p.Height())}
+	if err := p.ProveInto(proof, i); err != nil {
+		return nil, err
+	}
+	return proof, nil
+}
+
+// ProveInto is Prove writing into dst, reusing the capacity of dst.Siblings
+// and dst.Value. Every digest is copied out of the tree's state.
+func (p *PartialTree) ProveInto(dst *Proof, i int) error {
 	if i < 0 || i >= p.n {
-		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, p.n)
+		return fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, p.n)
 	}
 	block := i / p.blockSize
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	siblings := make([][]byte, 0, p.Height())
+	siblings := dst.Siblings[:0]
 	var value []byte
 	if p.ell > 0 {
 		sub := p.rebuildSubtree(block)
 		local := i % p.blockSize
-		value = cloneBytes(sub[p.blockSize+local])
+		value = copyInto(dst.Value, sub[p.blockSize+local])
 		for pos := p.blockSize + local; pos > 1; pos /= 2 {
 			siblings = append(siblings, cloneBytes(sub[pos^1]))
 		}
 	} else {
-		value = cloneBytes(p.top[len(p.top)/2+block])
+		value = copyInto(dst.Value, p.top[len(p.top)/2+block])
 	}
 	numBlocks := len(p.top) / 2
 	for pos := numBlocks + block; pos > 1; pos /= 2 {
 		siblings = append(siblings, cloneBytes(p.top[pos^1]))
 	}
-	return &Proof{Index: i, N: p.n, Value: value, Siblings: siblings}, nil
+	*dst = Proof{Index: i, N: p.n, Value: value, Siblings: siblings}
+	return nil
 }
 
 // subtreeRoot computes the root of block b. When counted is true the leaf
@@ -267,6 +278,15 @@ func (p *PartialTree) fillSubtreeParallel(sub [][]byte, base int, counted bool) 
 	for i := shards - 1; i >= 1; i-- {
 		sub[i] = p.nh.combineInto(arenaRow(p.scratchArena, p.hs.fixedLen, i), sub[2*i], sub[2*i+1])
 	}
+}
+
+// copyInto copies src into dst's storage (growing it if needed) and never
+// returns nil, so an empty leaf value stays a valid proof value.
+func copyInto(dst, src []byte) []byte {
+	if out := append(dst[:0], src...); out != nil {
+		return out
+	}
+	return []byte{}
 }
 
 func cloneBytes(b []byte) []byte {

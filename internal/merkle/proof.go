@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Proof verification errors. ErrRootMismatch is the signal that a participant
@@ -34,34 +35,43 @@ type Proof struct {
 	Siblings [][]byte
 }
 
-// RootFromProof reconstructs the Merkle root implied by the proof. This is
-// the Λ(Φ(L), λ1..λH) computation of Section 3.2.
-func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
+// PathVerifier reconstructs roots from audit paths with one reusable hash
+// state and one scratch digest, so checking m proofs of a commitment costs
+// m·log n hashes and no per-proof setup. It is not safe for concurrent use.
+type PathVerifier struct {
+	nh      *nodeHasher
+	scratch []byte // one digest of capacity; nil for variable-size hashers
+}
+
+// NewPathVerifier prepares a verifier for proofs drawn from trees built with
+// the same options.
+func NewPathVerifier(opts ...Option) *PathVerifier {
+	nh := newHashers(buildOptions(opts)).node()
+	v := &PathVerifier{nh: nh}
+	if nh.hs.fixedLen > 0 {
+		v.scratch = make([]byte, 0, nh.hs.fixedLen)
+	}
+	return v
+}
+
+// root computes Λ(Φ(L), λ1..λH) for a validated proof. The result aliases
+// the verifier's scratch (or the proof's value for a one-leaf tree) and is
+// valid until the next call. combineInto absorbs its inputs before writing,
+// so cur may alias the scratch it is rewritten into; with a variable-size
+// hasher each level allocates a fresh digest instead.
+func (v *PathVerifier) root(p *Proof) ([]byte, error) {
 	if err := validateProof(p); err != nil {
 		return nil, err
-	}
-	hs := newHashers(buildOptions(opts))
-	nh := hs.node()
-	// One scratch digest serves the whole climb: combineInto absorbs its
-	// inputs before writing, so cur may alias the scratch it is rewritten
-	// into. The fallback (fixedLen == 0) allocates per level as before.
-	var scratch []byte
-	if hs.fixedLen > 0 {
-		scratch = make([]byte, 0, hs.fixedLen)
 	}
 	cur := p.Value
 	pos := nextPow2(p.N) + p.Index
 	for _, sib := range p.Siblings {
 		if pos&1 == 0 {
-			cur = nh.combineInto(scratch, cur, sib)
+			cur = v.nh.combineInto(v.scratch, cur, sib)
 		} else {
-			cur = nh.combineInto(scratch, sib, cur)
+			cur = v.nh.combineInto(v.scratch, sib, cur)
 		}
 		pos /= 2
-	}
-	if hs.fixedLen > 0 && len(p.Siblings) > 0 {
-		// Detach the result from the scratch buffer before handing it out.
-		cur = cloneBytes(cur)
 	}
 	return cur, nil
 }
@@ -70,8 +80,8 @@ func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
 // the proof is consistent with the commitment, ErrRootMismatch when the
 // participant's claimed value was not the one committed (a caught cheat),
 // and ErrMalformedProof for structurally invalid proofs.
-func Verify(root []byte, p *Proof, opts ...Option) error {
-	got, err := RootFromProof(p, opts...)
+func (v *PathVerifier) Verify(root []byte, p *Proof) error {
+	got, err := v.root(p)
 	if err != nil {
 		return err
 	}
@@ -81,12 +91,28 @@ func Verify(root []byte, p *Proof, opts ...Option) error {
 	return nil
 }
 
+// RootFromProof reconstructs the Merkle root implied by the proof. This is
+// the Λ(Φ(L), λ1..λH) computation of Section 3.2.
+func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
+	got, err := NewPathVerifier(opts...).root(p)
+	if err != nil {
+		return nil, err
+	}
+	return cloneBytes(got), nil
+}
+
+// Verify checks one proof against the committed root; see
+// PathVerifier.Verify, which amortizes the hash state across many proofs.
+func Verify(root []byte, p *Proof, opts ...Option) error {
+	return NewPathVerifier(opts...).Verify(root, p)
+}
+
 func validateProof(p *Proof) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil proof", ErrMalformedProof)
 	}
-	if p.N <= 0 {
-		return fmt.Errorf("%w: non-positive leaf count %d", ErrMalformedProof, p.N)
+	if p.N <= 0 || p.N > maxLeaves {
+		return fmt.Errorf("%w: leaf count %d not in [1, 2^62]", ErrMalformedProof, p.N)
 	}
 	if p.Index < 0 || p.Index >= p.N {
 		return fmt.Errorf("%w: index %d not in [0, %d)", ErrMalformedProof, p.Index, p.N)
@@ -110,72 +136,121 @@ func validateProof(p *Proof) error {
 // uvarint(index) || uvarint(n) || uvarint(len(value)) || value ||
 // uvarint(len(siblings)) || (uvarint(len(s)) || s)*.
 func (p *Proof) MarshalBinary() ([]byte, error) {
+	if p == nil {
+		return nil, validateProof(p)
+	}
+	return p.AppendBinary(make([]byte, 0, p.EncodedSize()))
+}
+
+// AppendBinary appends the MarshalBinary encoding of the proof to dst.
+func (p *Proof) AppendBinary(dst []byte) ([]byte, error) {
 	if err := validateProof(p); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putUvarint(uint64(p.Index))
-	putUvarint(uint64(p.N))
-	putUvarint(uint64(len(p.Value)))
-	buf.Write(p.Value)
-	putUvarint(uint64(len(p.Siblings)))
+	dst = binary.AppendUvarint(dst, uint64(p.Index))
+	dst = binary.AppendUvarint(dst, uint64(p.N))
+	dst = binary.AppendUvarint(dst, uint64(len(p.Value)))
+	dst = append(dst, p.Value...)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Siblings)))
 	for _, s := range p.Siblings {
-		putUvarint(uint64(len(s)))
-		buf.Write(s)
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
-// UnmarshalBinary decodes a proof produced by MarshalBinary.
+// UnmarshalBinary decodes a proof produced by MarshalBinary. The proof owns
+// its bytes: data is copied once and may be reused by the caller.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	index, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("%w: index: %v", ErrMalformedProof, err)
+	var decoded Proof
+	if _, err := decoded.DecodeInto(bytes.Clone(data), nil); err != nil {
+		return err
 	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("%w: leaf count: %v", ErrMalformedProof, err)
+	*p = decoded
+	return nil
+}
+
+// maxSiblings bounds a proof's path: a complete binary tree cannot be deeper
+// on 64-bit indices.
+const maxSiblings = 64
+
+// DecodeInto decodes one MarshalBinary encoding, which must span all of data,
+// into p without copying: p.Value and every sibling subslice data, so the
+// caller must own data and leave it unmodified while p is in use. The
+// sibling headers are appended to arena, which is returned (grown if it
+// lacked capacity); passing the returned arena to the next call lets many
+// proofs share one backing array. p is written only when data decodes to a
+// valid proof.
+func (p *Proof) DecodeInto(data []byte, arena [][]byte) ([][]byte, error) {
+	d := proofDecoder{data: data}
+	index := d.uvarint("index")
+	n := d.uvarint("leaf count")
+	value := d.field("value")
+	count := d.uvarint("sibling count")
+	if d.err != nil {
+		return arena, d.err
 	}
-	value, err := readBytes(r)
-	if err != nil {
-		return fmt.Errorf("%w: value: %v", ErrMalformedProof, err)
-	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("%w: sibling count: %v", ErrMalformedProof, err)
-	}
-	const maxSiblings = 64 // a complete binary tree cannot be deeper on 64-bit indices
 	if count > maxSiblings {
-		return fmt.Errorf("%w: sibling count %d exceeds %d", ErrMalformedProof, count, maxSiblings)
+		return arena, fmt.Errorf("%w: sibling count %d exceeds %d", ErrMalformedProof, count, maxSiblings)
 	}
-	siblings := make([][]byte, 0, count)
+	arena = slices.Grow(arena, int(count))
+	start := len(arena)
 	for i := uint64(0); i < count; i++ {
-		s, err := readBytes(r)
-		if err != nil {
-			return fmt.Errorf("%w: sibling %d: %v", ErrMalformedProof, i, err)
-		}
-		siblings = append(siblings, s)
+		arena = append(arena, d.field("sibling"))
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformedProof, r.Len())
+	if d.err != nil {
+		return arena[:start], d.err
+	}
+	if len(d.data) != 0 {
+		return arena[:start], fmt.Errorf("%w: %d trailing bytes", ErrMalformedProof, len(d.data))
 	}
 	decoded := Proof{
 		Index:    int(index),
 		N:        int(n),
 		Value:    value,
-		Siblings: siblings,
+		Siblings: arena[start:len(arena):len(arena)],
 	}
 	if err := validateProof(&decoded); err != nil {
-		return err
+		return arena[:start], err
 	}
 	*p = decoded
-	return nil
+	return arena, nil
+}
+
+// proofDecoder walks an encoded proof; the first failure sticks in err and
+// turns later reads into no-ops.
+type proofDecoder struct {
+	data []byte
+	err  error
+}
+
+func (d *proofDecoder) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.data)
+	if n <= 0 {
+		d.err = fmt.Errorf("%w: %s: truncated or overlong uvarint", ErrMalformedProof, what)
+		return 0
+	}
+	d.data = d.data[n:]
+	return v
+}
+
+// field reads a length-prefixed byte string as a capacity-capped subslice,
+// so appending to it can never overwrite the bytes that follow.
+func (d *proofDecoder) field(what string) []byte {
+	n := d.uvarint(what)
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.data)) {
+		d.err = fmt.Errorf("%w: %s: declared length %d exceeds remaining %d", ErrMalformedProof, what, n, len(d.data))
+		return nil
+	}
+	out := d.data[:n:n]
+	d.data = d.data[n:]
+	return out
 }
 
 // EncodedSize reports the exact number of bytes MarshalBinary will produce.
@@ -188,26 +263,6 @@ func (p *Proof) EncodedSize() int {
 		size += uvarintLen(uint64(len(s))) + len(s)
 	}
 	return size
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("declared length %d exceeds remaining %d", n, r.Len())
-	}
-	out := make([]byte, n)
-	if n == 0 {
-		// bytes.Reader reports io.EOF for empty reads at the end of the
-		// buffer; zero-length leaf values are legal.
-		return out, nil
-	}
-	if _, err := r.Read(out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func uvarintLen(v uint64) int {

@@ -144,8 +144,8 @@ func validateSnapshot(snap *StreamSnapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil snapshot", ErrBadStreamSnapshot)
 	}
-	if snap.N <= 0 {
-		return fmt.Errorf("%w: non-positive leaf count %d", ErrBadStreamSnapshot, snap.N)
+	if snap.N <= 0 || snap.N > maxLeaves {
+		return fmt.Errorf("%w: leaf count %d not in [1, 2^62]", ErrBadStreamSnapshot, snap.N)
 	}
 	if snap.Added < 0 || snap.Added > snap.N {
 		return fmt.Errorf("%w: position %d not in [0, %d]", ErrBadStreamSnapshot, snap.Added, snap.N)
@@ -170,7 +170,7 @@ func validateSnapshot(snap *StreamSnapshot) error {
 		return fmt.Errorf("%w: %d extra frontier entries for position %d", ErrBadStreamSnapshot, len(snap.Frontier)-i, snap.Added)
 	}
 	if w := snap.Window; w != nil {
-		if w.W < 1 || w.W != nextPow2(w.W) {
+		if w.W < 1 || w.W > maxLeaves || w.W != nextPow2(w.W) {
 			return fmt.Errorf("%w: window size %d", ErrBadStreamSnapshot, w.W)
 		}
 		if w.Base < 0 || w.Base*w.W > snap.Added {
@@ -218,7 +218,7 @@ type windowTracker struct {
 }
 
 func newWindowTracker(w, keep int, hs hashers) (*windowTracker, error) {
-	if w < 1 || w != nextPow2(w) {
+	if w < 1 || w > maxLeaves || w != nextPow2(w) {
 		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, w)
 	}
 	return &windowTracker{w: w, keep: keep, hs: hs, eng: newSerialStream(w, hs)}, nil
@@ -478,4 +478,24 @@ func (s *StreamSnapshot) UnmarshalBinary(data []byte) error {
 	}
 	*s = decoded
 	return nil
+}
+
+func readBytes(r *bytes.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("declared length %d exceeds remaining %d", n, r.Len())
+	}
+	out := make([]byte, n)
+	if n == 0 {
+		// bytes.Reader reports io.EOF for empty reads at the end of the
+		// buffer; zero-length leaf values are legal.
+		return out, nil
+	}
+	if _, err := r.Read(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -139,6 +139,10 @@ func TestStreamSnapshotValidation(t *testing.T) {
 		},
 		"wrong level": func(s *StreamSnapshot) { s.Frontier[0].Level = 1 },
 		"nil digest":  func(s *StreamSnapshot) { s.Frontier[0].Digest = nil },
+		// Past 2^62 leaves the padded capacity overflows; validation once
+		// looped forever on such a count instead of rejecting it.
+		"n beyond 2^62":      func(s *StreamSnapshot) { s.N = 1<<62 + 1 },
+		"window beyond 2^62": func(s *StreamSnapshot) { s.Window = &WindowSnapshot{W: 1<<62 + 1} },
 	}
 	for name, corrupt := range cases {
 		bad := *snap

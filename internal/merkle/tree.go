@@ -115,16 +115,23 @@ func (o windowTrackingOption) apply(opts *options) {
 // of two. Build, BuildFunc, and NewPartial ignore the option.
 func WithWindowTracking(w, keep int) Option { return windowTrackingOption{w: w, keep: keep} }
 
+// buildOptions resolves opts; a nil hasher selects the default SHA-256.
+// The option-less call, the per-task norm, skips the heap copy that
+// applying options through the interface costs.
 func buildOptions(opts []Option) options {
-	o := options{hasher: sha256.New}
-	for _, opt := range opts {
-		opt.apply(&o)
+	if len(opts) == 0 {
+		return options{}
 	}
-	return o
+	o := new(options)
+	for _, opt := range opts {
+		opt.apply(o)
+	}
+	return *o
 }
 
 // hashers bundles the configured hash with the derived pad digest so the
-// expensive pad computation happens once per tree.
+// expensive pad computation happens once per tree (once per process for the
+// default SHA-256). The pad is shared read-only by every tree that uses it.
 type hashers struct {
 	newHash Hasher
 	pad     []byte
@@ -134,8 +141,19 @@ type hashers struct {
 	fixedLen int
 }
 
+// defaultHashers is the SHA-256 bundle every option-less tree, proof and
+// verifier shares.
+var defaultHashers = sync.OnceValue(func() hashers { return deriveHashers(sha256.New) })
+
 func newHashers(o options) hashers {
-	h := o.hasher()
+	if o.hasher == nil {
+		return defaultHashers()
+	}
+	return deriveHashers(o.hasher)
+}
+
+func deriveHashers(newHash Hasher) hashers {
+	h := newHash()
 	h.Write([]byte{padPrefix})
 	h.Write([]byte("uncheatgrid/merkle: pad leaf"))
 	pad := h.Sum(nil)
@@ -143,7 +161,7 @@ func newHashers(o options) hashers {
 	if h.Size() == len(pad) {
 		fixedLen = len(pad)
 	}
-	return hashers{newHash: o.hasher, pad: pad, fixedLen: fixedLen}
+	return hashers{newHash: newHash, pad: pad, fixedLen: fixedLen}
 }
 
 // combine computes the Φ value of an internal node from its two children,
@@ -439,20 +457,35 @@ func (t *Tree) Leaf(i int) ([]byte, error) {
 // Prove produces the audit path for leaf i: the leaf value plus the Φ values
 // of the sibling of every node on the path from the leaf to the root
 // (Step 3, Section 3.1 of the paper).
+// The siblings alias the tree's (immutable) nodes and must not be modified.
 func (t *Tree) Prove(i int) (*Proof, error) {
-	if i < 0 || i >= t.n {
-		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
+	p := &Proof{Siblings: make([][]byte, 0, t.Height())}
+	if err := t.ProveInto(p, i); err != nil {
+		return nil, err
 	}
-	siblings := make([][]byte, 0, t.Height())
+	return p, nil
+}
+
+// ProveInto is Prove writing into dst, reusing the capacity of dst.Siblings
+// and dst.Value, so a caller can draw many proofs from shared backing arrays.
+func (t *Tree) ProveInto(dst *Proof, i int) error {
+	if i < 0 || i >= t.n {
+		return fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
+	}
+	siblings := dst.Siblings[:0]
 	for pos := t.cap + i; pos > 1; pos /= 2 {
 		siblings = append(siblings, t.nodes[pos^1])
 	}
-	value := make([]byte, len(t.nodes[t.cap+i]))
-	copy(value, t.nodes[t.cap+i])
-	return &Proof{Index: i, N: t.n, Value: value, Siblings: siblings}, nil
+	*dst = Proof{Index: i, N: t.n, Value: copyInto(dst.Value, t.nodes[t.cap+i]), Siblings: siblings}
+	return nil
 }
 
-// nextPow2 returns the smallest power of two >= n (n >= 1).
+// maxLeaves bounds every leaf count and window size read from outside the
+// package (proofs, snapshots): past it the padded capacity is not
+// representable and nextPow2 would never return.
+const maxLeaves = 1 << 62
+
+// nextPow2 returns the smallest power of two >= n (1 <= n <= maxLeaves).
 func nextPow2(n int) int {
 	p := 1
 	for p < n {

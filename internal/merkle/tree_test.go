@@ -473,3 +473,20 @@ func TestEncodedSizeIsLogarithmic(t *testing.T) {
 		t.Fatalf("size growth = %dB, want exactly %dB", diff, wantExtra)
 	}
 }
+
+// TestProofUnmarshalRejectsHugeLeafCount pins the bound on a decoded
+// proof's leaf count: past 2^62 the padded capacity overflows int, and an
+// unbounded count once sent validation into a loop that never ended.
+func TestProofUnmarshalRejectsHugeLeafCount(t *testing.T) {
+	for _, n := range []uint64{1<<62 + 1, 1<<63 - 1} {
+		var b []byte
+		b = binary.AppendUvarint(b, 0) // index
+		b = binary.AppendUvarint(b, n) // leaf count
+		b = binary.AppendUvarint(b, 0) // empty value
+		b = binary.AppendUvarint(b, 0) // no siblings
+		var p Proof
+		if err := p.UnmarshalBinary(b); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("n=%d: err = %v, want ErrMalformedProof", n, err)
+		}
+	}
+}
